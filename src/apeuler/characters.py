@@ -1,9 +1,12 @@
-"""Dirichlet characters mod q with exact root-of-unity values.
+"""Dirichlet characters mod q as integer exponent tables.
 
-A character value is stored as a rational angle r/N in [0, 1) meaning
-exp(2*pi*i*r/N), or None on residues not coprime to q.  Keeping the angles
-exact makes orthogonality, conjugation and powers drift-free; conversion to
-floating complex happens only at evaluation time.
+Every character mod q takes its values among the lambda-th roots of unity,
+lambda = lambda(q) being the exponent of (Z/qZ)*.  A ``CharacterGroup`` holds
+one int table E of shape phi(q) x q: E[i, n] = k means chi_i(n) =
+exp(2*pi*i*k/lambda), and E[i, n] = -1 marks residues not coprime to q.
+Orthogonality, conjugation and powers are exact integer arithmetic mod lambda
+(chi_i^d is a row lookup in a cached power map); conversion to floating
+complex happens once, in the cached value table.
 """
 
 from __future__ import annotations
@@ -11,72 +14,110 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .arith import euler_phi, factorize
 from .errors import InvalidArgumentError
 
-Angle = Fraction  # reduced rational in [0, 1), angle as a fraction of a full turn
+
+@dataclass(frozen=True, eq=False)
+class CharacterGroup:
+    """The full group of the phi(q) Dirichlet characters mod q, one table row each."""
+
+    modulus: int
+    exponent: int  # lambda(q): every table entry lies in [0, exponent) or is -1
+    table: np.ndarray  # int64, phi(q) x q
+    slots: np.ndarray  # int64, phi(q) x k: row i's exponent on each generator
+    slot_orders: tuple[int, ...]  # the orders of those generators
+    principal_index: int = 0
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """chi_i(n) as complex128, equal bit for bit to ``characters[i](n)``."""
+        lam = self.exponent
+        roots = [1 + 0j] + [cmath.exp(2j * cmath.pi * (k / lam)) for k in range(1, lam)]
+        return np.array(roots + [0j])[self.table]  # index -1 picks the trailing 0
+
+    @cached_property
+    def characters(self) -> tuple["DirichletCharacter", ...]:
+        return tuple(DirichletCharacter(self, i) for i in range(len(self)))
+
+    @cached_property
+    def _power_map(self) -> np.ndarray:
+        """Row [d, i] is the row index of chi_i^d, for 0 <= d < lambda."""
+        orders = np.array(self.slot_orders, dtype=np.int64)
+        strides = np.ones(len(orders), dtype=np.int64)
+        for j in range(len(orders) - 2, -1, -1):
+            strides[j] = strides[j + 1] * orders[j + 1]
+        d = np.arange(self.exponent, dtype=np.int64)[:, None, None]
+        return (d * self.slots[None] % orders) @ strides
+
+    def power_rows(self, d: int) -> np.ndarray:
+        """Row indices of chi_i^d for every row i; d >= 0."""
+        return self._power_map[d % self.exponent]
+
+    @property
+    def principal(self) -> "DirichletCharacter":
+        return self.characters[self.principal_index]
+
+    def __len__(self) -> int:
+        return len(self.table)
 
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """A Dirichlet character mod q, tabulated on all residues 0..q-1."""
+    """Row ``index`` of a character group's tables."""
 
-    modulus: int
-    angles: tuple[Angle | None, ...]  # angles[n] for residue n; None where gcd(n, q) > 1
+    group: CharacterGroup = field(repr=False)
+    index: int
 
-    def angle(self, n: int) -> Angle | None:
-        return self.angles[n % self.modulus]
+    @property
+    def modulus(self) -> int:
+        return self.group.modulus
+
+    @property
+    def exponents(self) -> np.ndarray:
+        return self.group.table[self.index]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.group.values[self.index]
+
+    def angle(self, n: int) -> Fraction | None:
+        """chi(n) as a reduced fraction of a full turn, or None off the units."""
+        k = int(self.exponents[n % self.modulus])
+        return None if k < 0 else Fraction(k, self.group.exponent)
+
+    @cached_property
+    def _value_list(self) -> list[complex]:
+        return self.values.tolist()
 
     def __call__(self, n: int) -> complex:
-        a = self.angles[n % self.modulus]
-        if a is None:
-            return 0j
-        if a == 0:
-            return 1 + 0j  # exact, the common case
-        return cmath.exp(2j * cmath.pi * float(a))
+        row = self._value_list
+        return row[n % len(row)]
 
     @cached_property
     def order(self) -> int:
         """Smallest k >= 1 with chi^k principal."""
-        return math.lcm(*(a.denominator for a in self.angles if a is not None))
+        lam = self.group.exponent
+        exps = self.exponents
+        return lam // math.gcd(lam, *exps[exps >= 0].tolist())
 
     @property
     def is_principal(self) -> bool:
-        return all(a == 0 for a in self.angles if a is not None)
+        return self.order == 1
 
     def __pow__(self, d: int) -> "DirichletCharacter":
         if d < 0:
             raise InvalidArgumentError("character power must be >= 0")
-        return DirichletCharacter(
-            self.modulus,
-            tuple(None if a is None else (a * d) % 1 for a in self.angles),
-        )
+        return self.group.characters[int(self.group.power_rows(d)[self.index])]
 
     def conj(self) -> "DirichletCharacter":
-        return DirichletCharacter(
-            self.modulus,
-            tuple(None if a is None else (-a) % 1 for a in self.angles),
-        )
-
-
-@dataclass(frozen=True)
-class CharacterGroup:
-    """The full group of the phi(q) Dirichlet characters mod q."""
-
-    modulus: int
-    characters: tuple[DirichletCharacter, ...]
-    principal_index: int = 0
-
-    @property
-    def principal(self) -> DirichletCharacter:
-        return self.characters[self.principal_index]
-
-    def __len__(self) -> int:
-        return len(self.characters)
+        return self ** (self.group.exponent - 1)
 
 
 def _primitive_root(p: int, e: int) -> int:
@@ -125,35 +166,24 @@ def character_group(q: int) -> CharacterGroup:
         qi = p**e
         gens = _component_generators(p, e)
         components.append((qi, [o for _, o in gens], _component_dlog(qi, gens)))
+    slot_orders = tuple(o for _, orders, _ in components for o in orders)
+    lam = math.lcm(*slot_orders)
 
-    slot_orders = [o for _, orders, _ in components for o in orders]
+    # Discrete logs of every unit n on every generator, scaled to exponents mod lambda.
+    n = np.arange(q)
+    units = np.gcd(n, q) == 1
+    dlogs = np.zeros((q, len(slot_orders)), dtype=np.int64)
+    for u in np.flatnonzero(units).tolist():
+        dlogs[u] = [x for qi, _, table in components for x in table[u % qi]]
+    scale = np.array([lam // o for o in slot_orders], dtype=np.int64)
 
-    # Precompute, per residue n, the concatenated discrete logs (or None).
-    dlogs: list[tuple[int, ...] | None] = []
-    for n in range(q):
-        if math.gcd(n, q) != 1:
-            dlogs.append(None)
-            continue
-        exps: list[int] = []
-        for qi, orders, table in components:
-            exps.extend(table[n % qi])
-        dlogs.append(tuple(exps))
+    # Rows in itertools.product order of the generator exponents: row 0 is principal.
+    slots = np.array(list(itertools.product(*(range(o) for o in slot_orders))), dtype=np.int64)
+    slots = slots.reshape(math.prod(slot_orders), len(slot_orders))
+    table = np.full((len(slots), q), -1, dtype=np.int64)
+    table[:, units] = (slots * scale) @ dlogs[units].T % lam
 
-    characters = []
-    for ts in itertools.product(*(range(o) for o in slot_orders)):
-        angles: list[Angle | None] = []
-        for d in dlogs:
-            if d is None:
-                angles.append(None)
-            else:
-                a = sum(
-                    (Fraction(t * x, o) for t, x, o in zip(ts, d, slot_orders)),
-                    Fraction(0),
-                )
-                angles.append(a % 1)
-        characters.append(DirichletCharacter(q, tuple(angles)))
-
-    grp = CharacterGroup(modulus=q, characters=tuple(characters))
+    grp = CharacterGroup(q, lam, table, slots, slot_orders)
     assert len(grp) == euler_phi(q)
     assert grp.principal.is_principal
     return grp

@@ -32,7 +32,7 @@ from .errors import (
     OutOfDomainError,
     PrecisionUnreachableError,
 )
-from .lseries import DEFAULT_TARGET_EPS, EvalParams, LSeries
+from .lseries import EvalParams, LSeries
 from .oracle import oracle_log_product
 from .witt import Polynomial, witt_b
 
@@ -158,7 +158,7 @@ def execute_job(mode: str, spec: dict) -> dict:
             {
                 "order": chi.order,
                 "angles": [None if a is None else f"{a.numerator}/{a.denominator}"
-                           for a in chi.angles],
+                           for a in map(chi.angle, range(grp.modulus))],
             }
             for chi in grp.characters
         ]
@@ -255,8 +255,6 @@ def _add_product_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--check-oracle", type=int, metavar="LIMIT",
                    help="also run the brute-force product over primes <= LIMIT")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count; 1 is the bit-reproducible reference mode")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -281,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, default=10)
     p.add_argument("--check-oracle", type=int, metavar="LIMIT")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("oracle", help="brute-force product only")
     _add_product_flags(p)

@@ -20,6 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import divisors, mobius
 from .characters import character_group
 from .errors import InvalidArgumentError, OutOfDomainError
@@ -169,22 +171,21 @@ def y_p(
         raise InvalidArgumentError("P >= 2 and L >= 2 required")
     grp = character_group(q)
     phi = len(grp)
+    conj_a = grp.values[:, a % q].conj()  # conj chi(a), one entry per table row
     total = 0j
     bound = 0.0
     for ell in range(1, depth + 1):
-        weights: dict = {}
+        # weights[i]: the summed weight of every chi with chi^d = row i, added
+        # in (d, chi) order so that cancelling weights come out exactly 0
+        weights = np.zeros(phi, dtype=complex)
         for d in divisors(ell):
             mu = mobius(d)
-            if not mu:
-                continue
-            for chi in grp.characters:
-                w = mu * chi(a).conjugate()
-                key = chi**d
-                weights[key] = weights.get(key, 0j) + w
-        for chi_pow, w in weights.items():
+            if mu:
+                np.add.at(weights, grp.power_rows(d), mu * conj_a)
+        for row, w in enumerate(weights.tolist()):
             if w == 0:
                 continue
-            lt = ls.log_truncated_l(ell * s, chi_pow, p_min)
+            lt = ls.log_truncated_l(ell * s, grp.characters[row], p_min)
             total += w * lt.value / (ell * phi)
             bound += abs(w) * lt.bound / (ell * phi)
     return ValueWithBound(-total, bound)

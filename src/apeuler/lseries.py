@@ -76,6 +76,8 @@ class EvalParams:
 
 
 _BERNOULLI = BernoulliCache(130)
+# Largest (x, n) grid evaluated at once by the Euler-Maclaurin kernel.
+_BLOCK_ELEMS = 1 << 20
 
 
 def _log_abs_fraction(fr) -> float:
@@ -122,22 +124,32 @@ def _choose_em(s: complex, x: float, params: EvalParams) -> tuple[int, int]:
     return best
 
 
-def _hurwitz_em(s: complex, x: float, n_terms: int, order: int) -> ValueWithBound:
-    """Euler-Maclaurin evaluation of zeta(s, x) with explicit (N, M)."""
+def _hurwitz_em(
+    s: complex, xs: np.ndarray, n_terms: int, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-Maclaurin values of zeta(s, x) for every x in ``xs`` with explicit (N, M).
+
+    Returns the values and, per x, the remainder majorant.
+    """
     sigma = s.real
-    n = np.arange(n_terms, dtype=float) + x
-    value = complex(np.sum(np.exp(-s * np.log(n))))
-    w = float(n_terms) + x
-    logw = math.log(w)
-    value += cmath.exp((1 - s) * logw) / (s - 1) + 0.5 * cmath.exp(-s * logw)
+    block = max(1, _BLOCK_ELEMS // n_terms)  # rows of the (x, n) grid summed at once
+    k = np.arange(n_terms, dtype=float)
+    value = np.concatenate([
+        np.exp(-s * np.log(k + xs[i : i + block, None])).sum(axis=1)
+        for i in range(0, len(xs), block)
+    ])
+    w = xs + n_terms
+    logw = np.log(w)
+    value += np.exp((1 - s) * logw) / (s - 1) + 0.5 * np.exp(-s * logw)
 
     poch = s  # (s)_{2j-1} for the current j
-    wpow = cmath.exp((-s - 1) * logw)  # w^(-s-2j+1) for the current j
+    wpow = np.exp((-s - 1) * logw)  # w^(-s-2j+1) for the current j
+    w_inv2 = w**-2.0
     for jj in range(1, order + 1):
         b = _BERNOULLI[2 * jj]
         value += float(b) / math.factorial(2 * jj) * poch * wpow
         poch *= (s + 2 * jj - 1) * (s + 2 * jj)
-        wpow *= w**-2.0
+        wpow *= w_inv2
     # remainder majorant, in log space to dodge overflow
     log_bound = (
         math.log(abs(s + 2 * order + 1))
@@ -147,7 +159,24 @@ def _hurwitz_em(s: complex, x: float, n_terms: int, order: int) -> ValueWithBoun
         + sum(math.log(abs(s + j)) for j in range(2 * order + 1))
         - (sigma + 2 * order + 1) * logw
     )
-    return ValueWithBound(value, math.exp(min(log_bound, 700.0)))
+    return value, np.exp(np.minimum(log_bound, 700.0))
+
+
+def _hurwitz_vector(
+    s: complex, xs: np.ndarray, params: EvalParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(s, x) and remainder bounds for all x in ``xs`` (in (0, 1]), in one pass.
+
+    (N, M) is chosen at the smallest x, where the most terms are needed; the
+    remainder majorant is still evaluated and checked against target_eps per x.
+    """
+    n, m = _choose_em(s, float(xs.min()), params)
+    values, bounds = _hurwitz_em(s, xs, n, m)
+    if not np.isfinite(values).all():
+        raise OutOfDomainError("non-finite value")
+    if (bounds > params.target_eps).any():
+        raise PrecisionUnreachableError("remainder bound exceeds target_eps")
+    return values, bounds
 
 
 def hurwitz_zeta(s: complex, x: float, params: EvalParams = EvalParams()) -> ValueWithBound:
@@ -157,11 +186,32 @@ def hurwitz_zeta(s: complex, x: float, params: EvalParams = EvalParams()) -> Val
         raise OutOfDomainError("hurwitz_zeta requires Re s > 1")
     if not (0 < x <= 1):
         raise OutOfDomainError("hurwitz_zeta requires 0 < x <= 1")
-    n, m = _choose_em(s, x, params)
-    out = _hurwitz_em(s, x, n, m)
-    if out.bound > params.target_eps:
-        raise PrecisionUnreachableError("remainder bound exceeds target_eps")
-    return out
+    values, bounds = _hurwitz_vector(s, np.array([x], dtype=float), params)
+    return ValueWithBound(complex(values[0]), float(bounds[0]))
+
+
+def _zeta_residues(s: complex, q: int, params: EvalParams) -> tuple[np.ndarray, float]:
+    """zeta(s, r/q) placed at column r mod q for every unit r in 1..q (0 elsewhere).
+
+    Also returns the sum of the remainder bounds.  Nothing here depends on the
+    character, so one vector serves every L(s, chi) mod q.
+    """
+    r = np.arange(1, q + 1)
+    r = r[np.gcd(r, q) == 1]
+    values, bounds = _hurwitz_vector(s, r / q, params)
+    out = np.zeros(q, dtype=complex)
+    out[r % q] = values
+    return out, float(bounds.sum())
+
+
+def _l_from_residues(
+    s: complex, chi: DirichletCharacter, residues: tuple[np.ndarray, float]
+) -> ValueWithBound:
+    """L(s, chi) = q^(-s) * sum_r chi(r) zeta(s, r/q) as one table-row product."""
+    zeta_cols, bound = residues
+    q = chi.modulus
+    scale = cmath.exp(-s * math.log(q)) if q > 1 else 1.0
+    return ValueWithBound(scale * complex(chi.values @ zeta_cols), abs(scale) * bound)
 
 
 def dirichlet_l(
@@ -173,36 +223,22 @@ def dirichlet_l(
     s = complex(s)
     if s.real <= 1:
         raise OutOfDomainError("dirichlet_l requires Re s > 1")
-    q = chi.modulus
-    # per-component eps so the summed bound still lands near target_eps
-    sub = EvalParams(
-        target_eps=params.target_eps,
-        em_terms=params.em_terms,
-        em_order=params.em_order,
-        max_terms=params.max_terms,
-        max_order=params.max_order,
-    )
-    total = 0j
-    bound = 0.0
-    for r in range(1, q + 1):
-        c = chi(r)
-        if c == 0:
-            continue
-        z = hurwitz_zeta(s, r / q, sub)
-        total += c * z.value
-        bound += z.bound
-    scale = cmath.exp(-s * math.log(q)) if q > 1 else 1.0
-    return ValueWithBound(scale * total, abs(scale) * bound)
+    return _l_from_residues(s, chi, _zeta_residues(s, chi.modulus, params))
 
 
 class LSeries:
-    """Evaluator bundling a prime table, accuracy parameters and caches."""
+    """Evaluator bundling a prime table, accuracy parameters and caches.
+
+    The zeta(s, r/q) vector is computed once per (s, q); every L(s, chi) mod q
+    is then one character-table row times that vector.
+    """
 
     def __init__(self, primes: PrimeTable, params: EvalParams = EvalParams()):
         self.primes = primes
         self.params = params
-        self._l_cache: dict = {}
-        self._logl_cache: dict = {}
+        self._residue_cache: dict = {}  # (s, q) -> _zeta_residues
+        self._l_cache: dict = {}  # (s, q, row)
+        self._logl_cache: dict = {}  # (s, q, row, P)
 
     def hurwitz_zeta(self, s: complex, x: float) -> ValueWithBound:
         return hurwitz_zeta(s, x, self.params)
@@ -211,10 +247,17 @@ class LSeries:
         return hurwitz_zeta(s, 1.0, self.params)
 
     def dirichlet_l(self, s: complex, chi: DirichletCharacter) -> ValueWithBound:
-        key = (complex(s), chi)
+        s = complex(s)
+        key = (s, chi.modulus, chi.index)
         out = self._l_cache.get(key)
         if out is None:
-            out = dirichlet_l(s, chi, self.params)
+            if s.real <= 1:
+                raise OutOfDomainError("dirichlet_l requires Re s > 1")
+            residues = self._residue_cache.get(key[:2])
+            if residues is None:
+                residues = _zeta_residues(s, chi.modulus, self.params)
+                self._residue_cache[key[:2]] = residues
+            out = _l_from_residues(s, chi, residues)
             self._l_cache[key] = out
         return out
 
@@ -250,7 +293,7 @@ class LSeries:
         modulus below pi, then adding the removed factors back per-factor.
         """
         s = complex(s)
-        key = (s, chi, p_min)
+        key = (s, chi.modulus, chi.index, p_min)
         out = self._logl_cache.get(key)
         if out is not None:
             return out

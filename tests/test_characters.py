@@ -1,6 +1,8 @@
+import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from apeuler import character_group, euler_phi
@@ -94,3 +96,35 @@ def test_value_at_one():
     for q in (1, 2, 7, 8, 36):
         for chi in character_group(q).characters:
             assert chi(1) == 1
+
+
+# every modulus the test suite, the benchmark and the CLI examples use
+USED_MODULI = sorted(set(range(1, 37)) | {101, 210})
+
+
+@pytest.mark.parametrize("q", USED_MODULI)
+def test_value_table_matches_exact_angles(q):
+    grp = character_group(q)
+    for chi in grp.characters:
+        for n in range(q):
+            a = chi.angle(n)
+            if a is None:
+                expected = 0j
+            elif a == 0:
+                expected = 1 + 0j
+            else:
+                expected = cmath.exp(2j * cmath.pi * float(a))
+            assert grp.values[chi.index, n] == expected == chi(n)
+
+
+@pytest.mark.parametrize("q", USED_MODULI)
+def test_power_map_matches_integer_powers(q):
+    grp = character_group(q)
+    lam = grp.exponent
+    units = grp.table[0] >= 0
+    for d in range(lam + 2):
+        rows = grp.power_rows(d)
+        assert np.array_equal(grp.table[rows][:, units], d * grp.table[:, units] % lam)
+        for chi in grp.characters:
+            assert (chi**d).index == rows[chi.index]
+            assert chi**d is grp.characters[rows[chi.index]]

@@ -237,3 +237,14 @@ def test_continuation_demo_domain():
         continuation_demo(0.9 + 0j, 10, ls)
     with pytest.raises(InvalidArgumentError):
         continuation_demo(2 + 0j, 2, ls)
+
+
+def test_y_p_all_residues_mod_101_sum_to_zeta(ls6):
+    # the character sums over all classes cancel every non-principal term
+    # exactly, leaving -log L_P(s, chi_0) = -log zeta_P(s) - log(1 - 101^-s)
+    q, s, p_min, depth = 101, 2 + 0j, 2, 10
+    parts = [y_p(s, q, a, p_min, depth, ls6) for a in range(1, q)]
+    zp = ls6.zeta_p(s, p_min).log()
+    target = -zp.value - cmath.log(1 - q**-s)
+    tol = sum(p.bound for p in parts) + zp.bound + 1e-12
+    assert abs(sum(p.value for p in parts) - target) <= tol

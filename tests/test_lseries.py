@@ -71,9 +71,9 @@ def test_bound_honesty_doubled_parameters():
         for x in (1.0, 0.5, 0.25):
             params = EvalParams()
             n, m = _choose_em(s, x, params)
-            base = _hurwitz_em(s, x, n, m)
-            refined = _hurwitz_em(s, x, 2 * n, min(m + 4, 60))
-            assert abs(base.value - refined.value) <= base.bound + 1e-13
+            (base,), (base_bound,) = _hurwitz_em(s, np.array([x]), n, m)
+            (refined,), _ = _hurwitz_em(s, np.array([x]), 2 * n, min(m + 4, 60))
+            assert abs(base - refined) <= base_bound + 1e-13
 
 
 def test_dirichlet_l_mod_one_is_zeta():
@@ -179,3 +179,41 @@ def test_zeta_p_tail_inequality(ls6, sigma, p_min):
     zp = ls6.zeta_p(sigma, p_min)
     lhs = math.log(zp.value.real - zp.bound)
     assert lhs <= 2.0 * (p_min - 1) ** (1 - sigma) / (sigma - 1) + 1e-12
+
+
+def test_hurwitz_kernel_runs_once_per_exponent(primes_1e6, monkeypatch):
+    from apeuler import APProductSpec, LSeries, ap_product
+    from apeuler import lseries
+
+    calls = []
+    kernel = lseries._hurwitz_vector
+
+    def counting(s, xs, params):
+        calls.append(complex(s))
+        return kernel(s, xs, params)
+
+    monkeypatch.setattr(lseries, "_hurwitz_vector", counting)
+    ls = LSeries(primes_1e6)
+    # residue 2 generates (Z/101Z)* and leaves a nonzero weight at every
+    # depth; residue 1 skips the depths whose weights all cancel
+    spec = APProductSpec(s=2 + 0j, q=101, a=2, p_min=2, depth=10)
+    ap_product(spec, ls)
+    exponents = [ell * spec.s for ell in range(1, spec.depth + 1)]
+    assert sorted(calls, key=abs) == exponents  # once per distinct exponent
+    calls.clear()
+    for a in (1, 3, 100):
+        ap_product(APProductSpec(s=2 + 0j, q=101, a=a, p_min=2, depth=10), ls)
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 30, 101])
+@pytest.mark.parametrize("s", [2 + 0j, 1.5 + 3j])
+def test_table_l_matches_hurwitz_sum(ls6, q, s):
+    units = [r for r in range(1, q + 1) if math.gcd(r, q) == 1]
+    zetas = {r: hurwitz_zeta(s, r / q) for r in units}
+    scale = q**-s
+    for chi in character_group(q).characters:
+        direct = scale * sum(chi(r) * zetas[r].value for r in units)
+        direct_bound = abs(scale) * sum(z.bound for z in zetas.values())
+        for val in (ls6.dirichlet_l(s, chi), dirichlet_l(s, chi)):
+            assert abs(val.value - direct) <= val.bound + direct_bound + 1e-12
