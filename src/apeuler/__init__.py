@@ -2,7 +2,6 @@
 
 from .arith import (
     BernoulliCache,
-    FactoredModulus,
     PrimeTable,
     bernoulli,
     euler_phi,
@@ -37,7 +36,6 @@ from .witt import (
     lambert_log_expand,
     multi_indices,
     necklace_m,
-    necklace_table,
     power_sums,
     witt_b,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "CharacterGroup",
     "DirichletCharacter",
     "EvalParams",
-    "FactoredModulus",
     "InternalError",
     "InvalidArgumentError",
     "InvalidSpecError",
@@ -76,7 +73,6 @@ __all__ = [
     "multi_indices",
     "multi_term_product",
     "necklace_m",
-    "necklace_table",
     "oracle_log_product",
     "oracle_log_product_direct",
     "power_sums",

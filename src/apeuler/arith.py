@@ -87,16 +87,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class FactoredModulus:
-    q: int
-    factorization: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, q: int) -> "FactoredModulus":
-        return cls(q=q, factorization=tuple(factorize(q)))
-
-
 def mobius(n: int) -> int:
     """Moebius function: 0 unless n is squarefree, else (-1)^(number of prime factors)."""
     if n < 1:

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import euler_phi, factorize
+from .arith import divisors, euler_phi, factorize, mobius
 from .errors import InvalidArgumentError
 
 
@@ -34,6 +34,7 @@ class CharacterGroup:
     slots: np.ndarray  # int64, phi(q) x k: row i's exponent on each generator
     slot_orders: tuple[int, ...]  # the orders of those generators
     principal_index: int = 0
+    _unsieve: dict = field(default_factory=dict, repr=False)  # (a, L) -> unsieve_weights
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -59,6 +60,30 @@ class CharacterGroup:
     def power_rows(self, d: int) -> np.ndarray:
         """Row indices of chi_i^d for every row i; d >= 0."""
         return self._power_map[d % self.exponent]
+
+    def unsieve_weights(self, a: int, depth: int) -> list[tuple[int, list[int], list[complex]]]:
+        """The Moebius-unsieving weights of y_p for residue a, one entry per depth ell <= L.
+
+        Entry (ell, rows, weights): weights[j] = sum over d | ell and chi with
+        chi^d = row rows[j] of mu(d) conj chi(a), nonzero rows only.  They are
+        added in (d, chi) order so that cancelling weights come out exactly 0.
+        Built once per (a, L) and kept for the life of the group.
+        """
+        key = (a % self.modulus, depth)
+        out = self._unsieve.get(key)
+        if out is None:
+            conj_a = self.values[:, key[0]].conj()
+            out = []
+            for ell in range(1, depth + 1):
+                weights = np.zeros(len(self), dtype=complex)
+                for d in divisors(ell):
+                    mu = mobius(d)
+                    if mu:
+                        np.add.at(weights, self.power_rows(d), mu * conj_a)
+                rows = np.flatnonzero(weights)
+                out.append((ell, rows.tolist(), weights[rows].tolist()))
+            self._unsieve[key] = out
+        return out
 
     @property
     def principal(self) -> "DirichletCharacter":

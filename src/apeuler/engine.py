@@ -1,7 +1,10 @@
 """The headline computations: truncated Euler products over primes in progressions.
 
-Three product families are supported, all returning a computed log exponent
-together with a total rigorous truncation bound:
+Every product family compiles to one term plan: a dict {s_j: c_j} standing
+for sum_j c_j * y_p(s_j), equal exponents merged, plus one fixed bound (the
+structural truncation, the Lambert cut, kappa tails).  ``_execute`` evaluates
+y_p once per exponent and returns the log exponent with its total bound
+(``ap_product``, the one-term plan {s: 1}, calls y_p directly):
 
   * ``ap_product``       -- prod_{p >= P, p = a mod q} (1 - p^-s)
   * ``rational_product`` -- prod (1 - F(1/p)/G(1/p)) for complex polynomials
@@ -19,12 +22,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
-import numpy as np
-
-from .arith import divisors, mobius
 from .characters import character_group
-from .errors import InvalidArgumentError, OutOfDomainError
+from .errors import InvalidArgumentError, OutOfDomainError, PrecisionUnreachableError
 from .lseries import LSeries, ValueWithBound
 from .witt import (
     Polynomial,
@@ -171,24 +172,36 @@ def y_p(
         raise InvalidArgumentError("P >= 2 and L >= 2 required")
     grp = character_group(q)
     phi = len(grp)
-    conj_a = grp.values[:, a % q].conj()  # conj chi(a), one entry per table row
     total = 0j
     bound = 0.0
-    for ell in range(1, depth + 1):
-        # weights[i]: the summed weight of every chi with chi^d = row i, added
-        # in (d, chi) order so that cancelling weights come out exactly 0
-        weights = np.zeros(phi, dtype=complex)
-        for d in divisors(ell):
-            mu = mobius(d)
-            if mu:
-                np.add.at(weights, grp.power_rows(d), mu * conj_a)
-        for row, w in enumerate(weights.tolist()):
-            if w == 0:
-                continue
+    for ell, rows, weights in grp.unsieve_weights(a, depth):
+        for row, w in zip(rows, weights):
             lt = ls.log_truncated_l(ell * s, grp.characters[row], p_min)
             total += w * lt.value / (ell * phi)
             bound += abs(w) * lt.bound / (ell * phi)
     return ValueWithBound(-total, bound)
+
+
+def _execute(
+    plan: dict[complex, complex], fixed: float, q: int, a: int, p_min: int, depth: int, ls: LSeries
+) -> ProductResult:
+    """sum_j c_j y_p(s_j) over a term plan {s_j: c_j}, plus the plan's fixed bound.
+
+    One y_p call per exponent; a term whose majorant |c_j| L / ((Re s_j - 1)
+    P^(Re s_j - 1)) falls below _SKIP_EPS is not evaluated and its majorant
+    joins the bound instead.
+    """
+    total = 0j
+    bound = fixed
+    for s, c in plan.items():
+        majorant = abs(c) * _y_magnitude_majorant(s.real, p_min, depth)
+        if majorant < _SKIP_EPS:
+            bound += majorant
+            continue
+        y = y_p(s, q, a, p_min, depth, ls)
+        total += c * y.value
+        bound += abs(c) * y.bound
+    return ProductResult(total, bound)
 
 
 def ap_product(spec: APProductSpec, ls: LSeries) -> ProductResult:
@@ -206,25 +219,66 @@ def rational_product(spec: RationalProductSpec, ls: LSeries) -> ProductResult:
     beta = spec.beta()
     depth = spec.depth
     j_max = 2 * depth  # the series cut that makes the stated bound applicable
-    coeffs = lambert_log_expand(spec.f, spec.g, j_max)
-    total = 0j
-    bound = 0.0
-    for j, c in coeffs:
-        if j < 2 or c == 0:
-            continue
-        y = y_p(complex(j), spec.q, spec.a, spec.p_min, depth, ls)
-        total += c * y.value
-        bound += abs(c) * y.bound
+    # c_1 vanishes because F'(0) = 0; the j = 1 term would sit at Re s = 1
+    plan = {complex(j): c for j, c in lambert_log_expand(spec.f, spec.g, j_max) if j >= 2}
     deg = max((spec.g - spec.f).degree, spec.g.degree)
-    bound += 8 * deg * beta**2 * (beta / spec.p_min) ** (2 * depth)
-    return ProductResult(total, bound)
+    cut = 8 * deg * beta**2 * (beta / spec.p_min) ** (2 * depth)
+    return _execute(plan, cut, spec.q, spec.a, spec.p_min, depth, ls)
+
+
+def _kappa_tail(ac: float, sigma: float, p_min: int, depth: int) -> float:
+    """sum_{f > L} ac^f * _y_magnitude_majorant(f sigma, P, L), bounded in closed form.
+
+    With f0 = L + 1 and r = ac P^-sigma each term is at most
+    L P / (f0 sigma - 1) * r^f, so the tail is at most
+    L P / (f0 sigma - 1) * r^f0 / (1 - r); evaluated in log space.
+    """
+    f0 = depth + 1
+    log_r = math.log(ac) - sigma * math.log(p_min)
+    if log_r >= 0:
+        raise PrecisionUnreachableError("kappa series diverges: max(1, |c|) P^-Re(w) >= 1")
+    return math.exp(
+        math.log(depth * p_min / (f0 * sigma - 1)) + f0 * log_r - math.log1p(-math.exp(log_r))
+    )
+
+
+def _necklace_plan(
+    terms: tuple, s: complex, indices: Iterable[tuple[int, ...]], p_min: int, depth: int
+) -> tuple[dict[complex, complex], float]:
+    """Term plan of sum_m M(m) log(1 - c_m p^-w_m) over the multi-indices m.
+
+    c_m = prod_l a_l^m_l and w_m = sum_l m_l (u_l s + v_l).  Each factor
+    expands as sum_f (kappa_f(c_m)/f) y_p(f w_m), cut at f = L; the fixed bound
+    is the kappa tail past the cut, using |kappa_f(c)/f| <= max(1, |c|)^f.
+    Equal exponents are merged; kappa is computed once per distinct c_m.
+    """
+    plan: dict[complex, complex] = {}
+    fixed = 0.0
+    kappas: dict[complex, list[complex]] = {}
+    for m in indices:
+        mm = necklace_m(m)
+        if mm == 0:
+            continue
+        c = 1 + 0j
+        for (al, _, _), ml in zip(terms, m):
+            c *= al**ml
+        if c == 0:
+            continue
+        w = sum(ml * (u * s + v) for (_, u, v), ml in zip(terms, m))
+        if c not in kappas:
+            kappas[c] = [kappa(c, f) for f in range(1, depth + 1)]
+        for f, kf in enumerate(kappas[c], 1):
+            if kf != 0:
+                plan[f * w] = plan.get(f * w, 0) + mm * kf / f
+        fixed += abs(mm) * _kappa_tail(max(1.0, abs(c)), w.real, p_min, depth)
+    return plan, fixed
 
 
 def multi_term_product(spec: MultiTermSpec, ls: LSeries) -> ProductResult:
     """prod_{p >= P, p = a mod q} (1 - sum_l a_l p^-(u_l s + v_l)).
 
-    Necklace factorization into single-term products, each handled through the
-    telescoping kappa expansion and y_p; multi-indices are enumerated in
+    Necklace factorization into single-term products, each planned through
+    the telescoping kappa expansion; multi-indices are enumerated in
     lexicographic order for reproducibility.
     """
     spec.validate()
@@ -232,76 +286,14 @@ def multi_term_product(spec: MultiTermSpec, ls: LSeries) -> ProductResult:
     k = spec.k
     cap = spec.coeff_cap
     depth = spec.depth
-    inner = depth  # truncation of the kappa sum, fixed with the stated bound
-    total = 0j
-    bound = 0.0
-    for m in multi_indices(k, depth):
-        mm = necklace_m(m)
-        if mm == 0:
-            continue
-        c = 1 + 0j
-        for (al, _, _), ml in zip(spec.terms, m):
-            c *= al**ml
-        if c == 0:
-            continue
-        w = sum(ml * (u * s + v) for (_, u, v), ml in zip(spec.terms, m))
-        for f in range(1, inner + 1):
-            kf = kappa(c, f)
-            if kf == 0:
-                continue
-            coef = mm * kf / f
-            sf = f * w
-            majorant = _y_magnitude_majorant(sf.real, spec.p_min, depth)
-            if abs(coef) * majorant < _SKIP_EPS:
-                bound += abs(coef) * majorant
-                continue
-            y = y_p(sf, spec.q, spec.a, spec.p_min, depth, ls)
-            total += coef * y.value
-            bound += abs(coef) * y.bound
-        # kappa tail beyond the inner cut: |kappa_f(c)/f| <= max(1, |c|)^f
-        ac = max(1.0, abs(c))
-        for f in range(inner + 1, inner + 200):
-            t = abs(mm) * ac**f * _y_magnitude_majorant(f * w.real, spec.p_min, depth)
-            bound += t
-            if t < 1e-300:
-                break
+    plan, fixed = _necklace_plan(spec.terms, s, multi_indices(k, depth), spec.p_min, depth)
     structural = (
         2**k
         * cap**depth
         / (math.factorial(k) * spec.p_min**depth)
         * ((depth + k) ** k + 1 + math.log(depth) + 3 * k * cap / depth)
     )
-    return ProductResult(total, bound + structural)
-
-
-def _single_factor_log(
-    c: complex, w: complex, q: int, a: int, p_min: int, depth: int, ls: LSeries
-) -> ValueWithBound:
-    """sum_{p >= P, p = a mod q} log(1 - c p^-w) via the kappa expansion, |c| <= 1."""
-    total = 0j
-    bound = 0.0
-    for f in range(1, depth + 1):
-        kf = kappa(c, f)
-        if kf == 0:
-            continue
-        coef = kf / f
-        sf = f * w
-        majorant = _y_magnitude_majorant(sf.real, p_min, depth)
-        if abs(coef) * majorant < _SKIP_EPS:
-            bound += abs(coef) * majorant
-            continue
-        y = y_p(sf, q, a, p_min, depth, ls)
-        total += coef * y.value
-        bound += abs(coef) * y.bound + abs(coef) * math.exp(
-            -depth * sf.real * math.log(p_min)
-        )
-    # kappa tail: |kappa_f(c)/f| <= max(1, |c|)^f = 1 here
-    for f in range(depth + 1, depth + 200):
-        t = _y_magnitude_majorant(f * w.real, p_min, depth)
-        bound += t
-        if t < 1e-300:
-            break
-    return ValueWithBound(total, bound)
+    return _execute(plan, fixed + structural, spec.q, spec.a, spec.p_min, depth, ls)
 
 
 def _demo_tail_majorant(sigma: float, n_cut: int) -> float:
@@ -327,6 +319,10 @@ def _demo_tail_majorant(sigma: float, n_cut: int) -> float:
     return 4.5 * acc
 
 
+# 1 + p^-s - p^-(2s-1) = 1 - (a_1 p^-s + a_2 p^-(2s-1)); real coefficients keep c_m exact
+_DEMO_TERMS = ((-1.0, 1.0, 0.0), (1.0, 2.0, -1.0))
+
+
 def continuation_demo(
     s: complex, n_max: int, ls: LSeries, depth: int = 10
 ) -> ValueWithBound:
@@ -348,18 +344,13 @@ def continuation_demo(
     z2 = ls.zeta(2 * s).log()
     z3 = ls.zeta(s).log()
     log_total = z3 + z1.scaled(-1) + z2.scaled(-1)
-    acc = log_total.value
-    bnd = log_total.bound
-    for m1 in range(1, n_max - 1):
-        for m2 in range(1, (n_max - m1) // 2 + 1):
-            mm = necklace_m((m1, m2))
-            if mm == 0:
-                continue
-            c = -1.0 if m1 % 2 else 1.0
-            w = (m1 + 2 * m2) * s - m2
-            piece = _single_factor_log(c, w, 1, 1, 2, depth, ls)
-            acc += mm * piece.value
-            bnd += abs(mm) * piece.bound
-    bnd += _demo_tail_majorant(s.real, n_max)
+    indices = (
+        (m1, m2) for m1 in range(1, n_max - 1) for m2 in range(1, (n_max - m1) // 2 + 1)
+    )
+    plan, fixed = _necklace_plan(_DEMO_TERMS, s, indices, 2, depth)
+    fixed += sum(abs(c) * 2.0 ** (-depth * e.real) for e, c in plan.items())  # P^(-L Re s_j)
+    res = _execute(plan, fixed, 1, 1, 2, depth, ls)
+    acc = log_total.value + res.log_value
+    bnd = log_total.bound + res.total_bound + _demo_tail_majorant(s.real, n_max)
     v = cmath.exp(acc)
     return ValueWithBound(v, abs(v) * math.expm1(min(bnd, 700.0)))

@@ -132,17 +132,6 @@ def necklace_m(m: Sequence[int]) -> int:
     return acc // n
 
 
-def necklace_table(k: int, n_max: int) -> dict[tuple[int, ...], int]:
-    """All M(m) with m in Z_{>=0}^k and 1 <= sum(m) <= n_max, lexicographic keys."""
-    import itertools
-
-    out = {}
-    for m in itertools.product(range(n_max + 1), repeat=k):
-        if 1 <= sum(m) <= n_max:
-            out[m] = necklace_m(m)
-    return out
-
-
 def kappa(d: complex, f: int) -> complex:
     """Coefficients converting a log series in d into logs of (1 - x^f).
 

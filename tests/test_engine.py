@@ -18,7 +18,13 @@ from apeuler import (
     rational_product,
     y_p,
 )
-from apeuler.engine import _single_factor_log
+from apeuler import PrecisionUnreachableError, character_group, engine
+from apeuler.engine import (
+    _execute,
+    _kappa_tail,
+    _necklace_plan,
+    _y_magnitude_majorant,
+)
 
 
 def _ap_oracle(primes, s, q, a, p_min):
@@ -187,11 +193,13 @@ def test_multi_term_spec_validation():
 def test_single_factor_log_plus_sign(ls6, primes_1e6):
     # sum log(1 + p^-s) against the direct sum
     s = 2.5 + 0j
-    res = _single_factor_log(-1 + 0j, s, 1, 1, 2, 10, ls6)
+    plan, fixed = _necklace_plan(((-1 + 0j, 1.0, 0.0),), s, [(1,)], 2, 10)
+    fixed += sum(abs(c) * 2.0 ** (-10 * e.real) for e, c in plan.items())
+    res = _execute(plan, fixed, 1, 1, 2, 10, ls6)
     ps = primes_1e6.primes.astype(float)
     direct = float(np.sum(np.log1p(ps**-2.5)))
     tail = 1.5 * 10**6 ** (1 - 2.5) / 1.5
-    assert abs(res.value - direct) <= res.bound + tail
+    assert abs(res.log_value - direct) <= res.total_bound + tail
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -248,3 +256,65 @@ def test_y_p_all_residues_mod_101_sum_to_zeta(ls6):
     target = -zp.value - cmath.log(1 - q**-s)
     tol = sum(p.bound for p in parts) + zp.bound + 1e-12
     assert abs(sum(p.value for p in parts) - target) <= tol
+
+
+def _count_y_p(monkeypatch):
+    calls = []
+    real = engine.y_p
+
+    def counting(s, *rest):
+        calls.append(complex(s))
+        return real(s, *rest)
+
+    monkeypatch.setattr(engine, "y_p", counting)
+    return calls
+
+
+def test_continuation_demo_one_y_p_call_per_exponent(ls6, monkeypatch):
+    calls = _count_y_p(monkeypatch)
+    continuation_demo(2 + 0j, 30, ls6, depth=10)
+    # 242 calls for these 53 exponents before equal exponents were merged
+    assert len(calls) == len(set(calls)) == 53
+
+
+def test_multi_term_one_y_p_call_per_exponent(ls6, monkeypatch):
+    calls = _count_y_p(monkeypatch)
+    spec = MultiTermSpec(
+        terms=((0.9 + 0j, 1.0, 0.0), (0.6j, 2.0, -1.0), (-0.4 + 0j, 3.0, -1.0)),
+        s=2 + 0j, q=5, a=2, p_min=7, depth=8,
+    )
+    multi_term_product(spec, ls6)
+    # 104 calls for these 21 exponents before equal exponents were merged
+    assert len(calls) == len(set(calls)) == 21
+
+
+def test_y_p_weight_table_built_once_per_residue_and_depth(ls6, monkeypatch):
+    from apeuler import characters
+
+    character_group(7)._unsieve.clear()
+    built = []
+    real = characters.mobius
+    monkeypatch.setattr(characters, "mobius", lambda n: built.append(n) or real(n))
+    first = y_p(2 + 0j, 7, 3, 5, 9, ls6)
+    assert built
+    built.clear()
+    y_p(3 + 0j, 7, 3, 5, 9, ls6)
+    assert built == []
+    assert y_p(2 + 0j, 7, 3, 5, 9, ls6) == first
+
+
+@pytest.mark.parametrize(
+    "ac,sigma,p_min,depth",
+    [(1.0, 2.0, 7, 8), (1.0, 3.5, 2, 10), (1.0, 1.1, 2, 10), (2.5, 1.5, 7, 8)],
+)
+def test_kappa_tail_closed_form_covers_the_series(ac, sigma, p_min, depth):
+    series = sum(
+        ac**f * _y_magnitude_majorant(f * sigma, p_min, depth)
+        for f in range(depth + 1, depth + 400)
+    )
+    assert series <= _kappa_tail(ac, sigma, p_min, depth) <= 2 * series
+
+
+def test_kappa_tail_refuses_a_divergent_series():
+    with pytest.raises(PrecisionUnreachableError):
+        _kappa_tail(8.0, 1.5, 4, 8)
