@@ -3,7 +3,6 @@
 from .arith import (
     BernoulliCache,
     PrimeTable,
-    bernoulli,
     euler_phi,
     mobius,
     sieve,
@@ -60,7 +59,6 @@ __all__ = [
     "RationalProductSpec",
     "ValueWithBound",
     "ap_product",
-    "bernoulli",
     "beta_bound",
     "character_group",
     "continuation_demo",

@@ -142,8 +142,3 @@ class BernoulliCache:
     def __getitem__(self, n: int) -> Fraction:
         self.ensure(n)
         return self._values[n]
-
-
-def bernoulli(up_to: int) -> BernoulliCache:
-    """Bernoulli numbers B_0 .. B_up_to as exact rationals."""
-    return BernoulliCache(up_to)

@@ -33,7 +33,6 @@ class CharacterGroup:
     table: np.ndarray  # int64, phi(q) x q
     slots: np.ndarray  # int64, phi(q) x k: row i's exponent on each generator
     slot_orders: tuple[int, ...]  # the orders of those generators
-    principal_index: int = 0
     _unsieve: dict = field(default_factory=dict, repr=False)  # (a, L) -> unsieve_weights
 
     @cached_property
@@ -87,7 +86,7 @@ class CharacterGroup:
 
     @property
     def principal(self) -> "DirichletCharacter":
-        return self.characters[self.principal_index]
+        return self.characters[0]
 
     def __len__(self) -> int:
         return len(self.table)
@@ -140,9 +139,6 @@ class DirichletCharacter:
         if d < 0:
             raise InvalidArgumentError("character power must be >= 0")
         return self.group.characters[int(self.group.power_rows(d)[self.index])]
-
-    def conj(self) -> "DirichletCharacter":
-        return self ** (self.group.exponent - 1)
 
 
 def _primitive_root(p: int, e: int) -> int:

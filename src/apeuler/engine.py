@@ -2,9 +2,9 @@
 
 Every product family compiles to one term plan: a dict {s_j: c_j} standing
 for sum_j c_j * y_p(s_j), equal exponents merged, plus one fixed bound (the
-structural truncation, the Lambert cut, kappa tails).  ``_execute`` evaluates
-y_p once per exponent and returns the log exponent with its total bound
-(``ap_product``, the one-term plan {s: 1}, calls y_p directly):
+structural truncation, the Lambert cut, kappa tails).  ``_execute``, the only
+caller of y_p, evaluates it once per exponent and returns the log exponent with
+its total bound (``ap_product`` is the one-term plan {s: 1}):
 
   * ``ap_product``       -- prod_{p >= P, p = a mod q} (1 - p^-s)
   * ``rational_product`` -- prod (1 - F(1/p)/G(1/p)) for complex polynomials
@@ -147,11 +147,12 @@ class ProductResult:
 
 
 def _y_magnitude_majorant(sigma: float, p_min: int, depth: int) -> float:
-    """Crude certified bound on |y_p|: L / ((sigma-1) P^(sigma-1))."""
-    e = (sigma - 1) * math.log(p_min)
-    if e > 700:
-        return 0.0
-    return depth / ((sigma - 1) * math.exp(e))
+    """Certified bound on |y_p|: P^-sigma (2 + L P / (sigma - 1)).
+
+    That is 2 P^-sigma + L P^(1-sigma) / (sigma - 1): the n = P term stays out of
+    the integral comparison, without which large sigma would break the bound.
+    """
+    return math.exp(-sigma * math.log(p_min)) * (2 + depth * p_min / (sigma - 1))
 
 
 def y_p(
@@ -187,9 +188,9 @@ def _execute(
 ) -> ProductResult:
     """sum_j c_j y_p(s_j) over a term plan {s_j: c_j}, plus the plan's fixed bound.
 
-    One y_p call per exponent; a term whose majorant |c_j| L / ((Re s_j - 1)
-    P^(Re s_j - 1)) falls below _SKIP_EPS is not evaluated and its majorant
-    joins the bound instead.
+    One y_p call per exponent; a term whose majorant |c_j| P^-Re s_j (2 + L P /
+    (Re s_j - 1)) falls below _SKIP_EPS is not evaluated and its majorant joins
+    the bound instead.
     """
     total = 0j
     bound = fixed
@@ -208,9 +209,8 @@ def ap_product(spec: APProductSpec, ls: LSeries) -> ProductResult:
     """prod_{p >= P, p = a mod q} (1 - p^-s) with structural bound P^(-L Re s)."""
     spec.validate()
     s = complex(spec.s)
-    y = y_p(s, spec.q, spec.a, spec.p_min, spec.depth, ls)
     structural = math.exp(-spec.depth * s.real * math.log(spec.p_min))
-    return ProductResult(y.value, y.bound + structural)
+    return _execute({s: 1}, structural, spec.q, spec.a, spec.p_min, spec.depth, ls)
 
 
 def rational_product(spec: RationalProductSpec, ls: LSeries) -> ProductResult:
@@ -230,15 +230,15 @@ def _kappa_tail(ac: float, sigma: float, p_min: int, depth: int) -> float:
     """sum_{f > L} ac^f * _y_magnitude_majorant(f sigma, P, L), bounded in closed form.
 
     With f0 = L + 1 and r = ac P^-sigma each term is at most
-    L P / (f0 sigma - 1) * r^f, so the tail is at most
-    L P / (f0 sigma - 1) * r^f0 / (1 - r); evaluated in log space.
+    (2 + L P / (f0 sigma - 1)) r^f, so the tail is at most
+    (2 + L P / (f0 sigma - 1)) r^f0 / (1 - r); evaluated in log space.
     """
     f0 = depth + 1
     log_r = math.log(ac) - sigma * math.log(p_min)
     if log_r >= 0:
         raise PrecisionUnreachableError("kappa series diverges: max(1, |c|) P^-Re(w) >= 1")
     return math.exp(
-        math.log(depth * p_min / (f0 * sigma - 1)) + f0 * log_r - math.log1p(-math.exp(log_r))
+        math.log(2 + depth * p_min / (f0 * sigma - 1)) + f0 * log_r - math.log1p(-math.exp(log_r))
     )
 
 
@@ -352,5 +352,4 @@ def continuation_demo(
     res = _execute(plan, fixed, 1, 1, 2, depth, ls)
     acc = log_total.value + res.log_value
     bnd = log_total.bound + res.total_bound + _demo_tail_majorant(s.real, n_max)
-    v = cmath.exp(acc)
-    return ValueWithBound(v, abs(v) * math.expm1(min(bnd, 700.0)))
+    return ValueWithBound(acc, bnd).exp()

@@ -4,6 +4,10 @@ Every value comes back as a ``ValueWithBound``: a complex double paired with a
 rigorous absolute radius covering all mathematical truncations.  Floating
 rounding is excluded from the bound contract by declaration (double precision
 leaves roughly four guard digits at the default target of 1e-14).
+
+``EvalParams`` holds that target alone; the Euler-Maclaurin (N, M) search
+starts and stops at fixed module constants.  ``LSeries`` caches the Hurwitz
+residue vector per (s, q) and the truncated log-L per (s, q, row, P).
 """
 
 from __future__ import annotations
@@ -45,9 +49,17 @@ class ValueWithBound:
         return ValueWithBound(c * self.value, abs(c) * self.bound)
 
     def exp(self) -> "ValueWithBound":
-        """exp with the multiplicative propagation |exp(x)| * (e^b - 1)."""
-        v = cmath.exp(self.value)
-        return ValueWithBound(v, abs(v) * math.expm1(self.bound))
+        """exp with the multiplicative propagation |exp(x)| * (e^b - 1).
+
+        The radius is formed as e^(Re x + b) * (1 - e^-b), which overflows, and
+        raises PrecisionUnreachableError, exactly when e^b |exp(x)| does.
+        """
+        try:
+            v = cmath.exp(self.value)
+            radius = math.exp(self.value.real + self.bound) * -math.expm1(-self.bound)
+        except OverflowError:
+            raise PrecisionUnreachableError("exp of the ball overflows") from None
+        return ValueWithBound(v, radius)
 
     def log(self) -> "ValueWithBound":
         """Principal log; requires the bound ball to stay away from 0."""
@@ -60,21 +72,20 @@ class ValueWithBound:
 
 @dataclass(frozen=True)
 class EvalParams:
-    """Requested accuracy and Euler-Maclaurin starting/ceiling parameters."""
+    """Requested accuracy of every Hurwitz evaluation."""
 
     target_eps: float = DEFAULT_TARGET_EPS
-    em_terms: int = 16  # starting N
-    em_order: int = 4  # starting M
-    max_terms: int = 1 << 22
-    max_order: int = 60
 
     def __post_init__(self):
         if self.target_eps <= 0:
             raise InvalidArgumentError("target_eps must be positive")
-        if self.em_terms < 1 or self.em_order < 1:
-            raise InvalidArgumentError("em_terms and em_order must be >= 1")
 
 
+# Euler-Maclaurin starting (N, M) and their ceilings.
+_EM_TERMS = 16
+_EM_ORDER = 4
+_MAX_TERMS = 1 << 22
+_MAX_ORDER = 60
 _BERNOULLI = BernoulliCache(130)
 # Largest (x, n) grid evaluated at once by the Euler-Maclaurin kernel.
 _BLOCK_ELEMS = 1 << 20
@@ -97,11 +108,11 @@ def _choose_em(s: complex, x: float, params: EvalParams) -> tuple[int, int]:
     best: tuple[int, int] | None = None
     log_poch = 0.0
     j = 0
-    for m in range(1, params.max_order + 1):
+    for m in range(1, _MAX_ORDER + 1):
         while j < 2 * m + 1:
             log_poch += math.log(abs(s + j))
             j += 1
-        if m < params.em_order:
+        if m < _EM_ORDER:
             continue
         log_k = (
             math.log(abs(s + 2 * m + 1))
@@ -112,10 +123,10 @@ def _choose_em(s: complex, x: float, params: EvalParams) -> tuple[int, int]:
         )
         t = (log_k - log_eps) / (sigma + 2 * m + 1)
         need = math.ceil(math.exp(min(t, 50.0)) - x) + 1 if t > 0 else 1
-        n = max(params.em_terms, need)
-        if n <= params.max_terms and (best is None or n < best[0]):
+        n = max(_EM_TERMS, need)
+        if n <= _MAX_TERMS and (best is None or n < best[0]):
             best = (n, m)
-        if best is not None and best[0] <= 4 * params.em_terms:
+        if best is not None and best[0] <= 4 * _EM_TERMS:
             break
     if best is None:
         raise PrecisionUnreachableError(
@@ -227,39 +238,32 @@ def dirichlet_l(
 
 
 class LSeries:
-    """Evaluator bundling a prime table, accuracy parameters and caches.
+    """Evaluator bundling a prime table, accuracy parameters and two caches.
 
-    The zeta(s, r/q) vector is computed once per (s, q); every L(s, chi) mod q
-    is then one character-table row times that vector.
+    The zeta(s, r/q) vector is cached once per (s, q); every L(s, chi) mod q
+    is one character-table row times that vector, computed afresh because L
+    is only asked for when the truncated log-L, cached per (s, q, row, P),
+    misses.
     """
 
     def __init__(self, primes: PrimeTable, params: EvalParams = EvalParams()):
         self.primes = primes
         self.params = params
         self._residue_cache: dict = {}  # (s, q) -> _zeta_residues
-        self._l_cache: dict = {}  # (s, q, row)
         self._logl_cache: dict = {}  # (s, q, row, P)
-
-    def hurwitz_zeta(self, s: complex, x: float) -> ValueWithBound:
-        return hurwitz_zeta(s, x, self.params)
 
     def zeta(self, s: complex) -> ValueWithBound:
         return hurwitz_zeta(s, 1.0, self.params)
 
     def dirichlet_l(self, s: complex, chi: DirichletCharacter) -> ValueWithBound:
         s = complex(s)
-        key = (s, chi.modulus, chi.index)
-        out = self._l_cache.get(key)
-        if out is None:
-            if s.real <= 1:
-                raise OutOfDomainError("dirichlet_l requires Re s > 1")
-            residues = self._residue_cache.get(key[:2])
-            if residues is None:
-                residues = _zeta_residues(s, chi.modulus, self.params)
-                self._residue_cache[key[:2]] = residues
-            out = _l_from_residues(s, chi, residues)
-            self._l_cache[key] = out
-        return out
+        if s.real <= 1:
+            raise OutOfDomainError("dirichlet_l requires Re s > 1")
+        key = (s, chi.modulus)
+        residues = self._residue_cache.get(key)
+        if residues is None:
+            residues = self._residue_cache[key] = _zeta_residues(s, chi.modulus, self.params)
+        return _l_from_residues(s, chi, residues)
 
     def zeta_p(self, s: complex, p_min: int) -> ValueWithBound:
         """zeta with Euler factors below p_min removed: zeta(s) * prod_{p<P} (1 - p^-s)."""

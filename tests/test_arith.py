@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from apeuler import (
+    BernoulliCache,
     InvalidArgumentError,
-    bernoulli,
     euler_phi,
     mobius,
     sieve,
@@ -101,7 +101,7 @@ def test_factorize_reconstructs():
 
 
 def test_bernoulli_values():
-    b = bernoulli(12)
+    b = BernoulliCache(12)
     assert b[0] == 1
     assert b[1] == Fraction(-1, 2)
     assert b[2] == Fraction(1, 6)

@@ -116,6 +116,11 @@ def test_unreachable_precision_exit_three(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_demo_overflowing_bound_exits_three(capsys):
+    assert run(["demo", "--s", "1.05"]) == 3
+    capsys.readouterr()
+
+
 def test_eps_env_must_be_positive(capsys, monkeypatch):
     monkeypatch.setenv("EULER_AP_EPS", "-1")
     assert run(["ap", "--s", "2"]) == 2

@@ -273,8 +273,19 @@ def _count_y_p(monkeypatch):
 def test_continuation_demo_one_y_p_call_per_exponent(ls6, monkeypatch):
     calls = _count_y_p(monkeypatch)
     continuation_demo(2 + 0j, 30, ls6, depth=10)
-    # 242 calls for these 53 exponents before equal exponents were merged
-    assert len(calls) == len(set(calls)) == 53
+    # 242 calls before equal exponents were merged; 3 of these 56 exponents
+    # were skipped while the magnitude majorant left out the P^-sigma term
+    assert len(calls) == len(set(calls)) == 56
+
+
+def test_ap_product_is_the_one_term_plan(ls6, monkeypatch):
+    calls = _count_y_p(monkeypatch)
+    spec = APProductSpec(s=1.5 + 1j, q=5, a=2, p_min=5, depth=8)
+    res = ap_product(spec, ls6)
+    assert calls == [1.5 + 1j]
+    y = y_p(spec.s, spec.q, spec.a, spec.p_min, spec.depth, ls6)
+    assert res.log_value == y.value
+    assert res.total_bound == y.bound + math.exp(-spec.depth * spec.s.real * math.log(spec.p_min))
 
 
 def test_multi_term_one_y_p_call_per_exponent(ls6, monkeypatch):
@@ -313,6 +324,20 @@ def test_kappa_tail_closed_form_covers_the_series(ac, sigma, p_min, depth):
         for f in range(depth + 1, depth + 400)
     )
     assert series <= _kappa_tail(ac, sigma, p_min, depth) <= 2 * series
+
+
+@pytest.mark.parametrize("p_min", [2, 3, 5])
+@pytest.mark.parametrize("sigma", [30.0, 60.0])
+def test_y_magnitude_majorant_covers_the_prime_sum(primes_1e6, p_min, sigma):
+    primes = primes_1e6.in_range(p_min, 1000)
+    direct = sum(abs(math.log1p(-(float(p) ** -sigma))) for p in primes)
+    assert _y_magnitude_majorant(sigma, p_min, 10) >= direct
+
+
+def test_continuation_demo_refuses_an_overflowing_bound(ls6):
+    # at s = 1.05 the necklace tail majorant alone is about 1,305
+    with pytest.raises(PrecisionUnreachableError):
+        continuation_demo(1.05 + 0j, 30, ls6)
 
 
 def test_kappa_tail_refuses_a_divergent_series():
