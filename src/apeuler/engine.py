@@ -2,9 +2,11 @@
 
 Every product family compiles to one term plan: a dict {s_j: c_j} standing
 for sum_j c_j * y_p(s_j), equal exponents merged, plus one fixed bound (the
-structural truncation, the Lambert cut, kappa tails).  ``_execute``, the only
-caller of y_p, evaluates it once per exponent and returns the log exponent with
-its total bound (``ap_product`` is the one-term plan {s: 1}):
+structural truncation, the Lambert cut, kappa tails).  ``_execute`` evaluates
+each exponent once and returns the log exponent with its total bound
+(``ap_product`` is the one-term plan {s: 1}).  An exponent whose tail past a
+small prime cut X_j is below rounding (large Re s_j) is summed directly over
+the primes up to X_j; every other exponent goes through y_p:
 
   * ``ap_product``       -- prod_{p >= P, p = a mod q} (1 - p^-s)
   * ``rational_product`` -- prod (1 - F(1/p)/G(1/p)) for complex polynomials
@@ -24,6 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
+from .arith import PrimeTable
 from .characters import character_group
 from .errors import InvalidArgumentError, OutOfDomainError, PrecisionUnreachableError
 from .lseries import LSeries, ValueWithBound
@@ -36,9 +41,12 @@ from .witt import (
     necklace_m,
 )
 
-# Terms whose certified magnitude falls below this are skipped (and their
-# majorant added to the bound) instead of being evaluated.
-_SKIP_EPS = 1e-18
+# Unit roundoff of IEEE doubles.
+_U = 2.0**-53
+# Largest prime cut X_j summed directly; an exponent needing more goes to y_p.
+_DIRECT_CAP = 10**4
+# Largest (exponent, prime) block of the direct sum evaluated at once.
+_DIRECT_BLOCK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -183,25 +191,89 @@ def y_p(
     return ValueWithBound(-total, bound)
 
 
+def _direct_cut(sigma: float, p_min: int, limit: int) -> int | None:
+    """Smallest X whose tail bound 2 sigma/(sigma-1) (X+1)^(1-sigma) is <= u P^-sigma.
+
+    That majorizes sum_{n > X} |log(1 - n^-s)| by |log(1 - z)| <= 2|z|.  None
+    when X would pass min(_DIRECT_CAP, limit): the prime table must reach X.
+    """
+    log_x1 = (sigma * math.log(p_min) - math.log(_U * (sigma - 1) / (2 * sigma))) / (sigma - 1)
+    if log_x1 > math.log(min(_DIRECT_CAP, limit) + 1):
+        return None
+    return max(p_min, math.ceil(math.exp(log_x1)) - 1)
+
+
+def _direct_sums(
+    cuts: dict[complex, int], q: int, a: int, p_min: int, primes: PrimeTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{P <= p <= X_j, p = a mod q} log(1 - p^-s_j) for each {s_j: X_j}, with bounds.
+
+    With z = r e^(i theta), log(1 - z) is formed as (1/2) log1p(r^2 - 2 Re z) +
+    i atan2(-Im z, 1 - Re z): complex log1p loses small arguments.  The bound
+    is the tail past X_j plus rounding.  Allowing 4 ulp per libm call, a cell
+    is off by at most u r (20 |s_j| log p + 40); a row, summed from its smallest
+    cell, adds u sum_k (|Re S_k| + |Im S_k|) over its partial sums S_k; the
+    caller's product with c_j and its fsum add 8 u sum r.  Each cell adds
+    2^-1000 for underflow.
+    """
+    exps = np.array(list(cuts), dtype=complex)
+    xs = np.array(list(cuts.values()))
+    ps = primes.in_range(p_min, int(xs.max()))
+    ps = ps[ps % q == a % q]
+    logp = np.log(ps.astype(float))
+    counts = np.searchsorted(ps, xs, side="right")
+    values = np.zeros(len(xs), dtype=complex)
+    rounding = np.zeros(len(xs))
+    order = np.argsort(-xs, kind="stable")  # a block's first row is its widest
+    i = 0
+    while i < len(order) and counts[order[i]]:
+        width = counts[order[i]]
+        rows = order[i : i + max(1, _DIRECT_BLOCK // width)]
+        i += len(rows)
+        s = exps[rows, None]
+        r = np.where(
+            np.arange(width) < counts[rows, None], np.exp(-s.real * logp[:width]), 0.0
+        )
+        theta = -s.imag * logp[:width]
+        re, im = r * np.cos(theta), r * np.sin(theta)
+        cells = 0.5 * np.log1p(r * r - 2 * re) + 1j * np.arctan2(-im, 1 - re)
+        partial = cells[:, ::-1].cumsum(axis=1)
+        values[rows] = partial[:, -1]
+        rounding[rows] = (
+            20 * np.abs(exps[rows]) * (r @ logp[:width])
+            + 48 * r.sum(axis=1)
+            + (np.abs(partial.real) + np.abs(partial.imag)).sum(axis=1)
+        )
+    sigma = exps.real
+    tails = 2 * sigma / (sigma - 1) * np.exp((1 - sigma) * np.log(xs + 1.0))
+    return values, tails + _U * rounding + counts * 2.0**-1000
+
+
 def _execute(
     plan: dict[complex, complex], fixed: float, q: int, a: int, p_min: int, depth: int, ls: LSeries
 ) -> ProductResult:
     """sum_j c_j y_p(s_j) over a term plan {s_j: c_j}, plus the plan's fixed bound.
 
-    One y_p call per exponent; a term whose majorant |c_j| P^-Re s_j (2 + L P /
-    (Re s_j - 1)) falls below _SKIP_EPS is not evaluated and its majorant joins
-    the bound instead.
+    Each exponent is evaluated once: by _direct_sums when its prime cut from
+    _direct_cut fits the cap and the prime table, by y_p otherwise.
     """
     total = 0j
     bound = fixed
+    cuts = {}
     for s, c in plan.items():
-        majorant = abs(c) * _y_magnitude_majorant(s.real, p_min, depth)
-        if majorant < _SKIP_EPS:
-            bound += majorant
+        x = _direct_cut(s.real, p_min, ls.primes.limit)
+        if x is not None:
+            cuts[s] = x
             continue
         y = y_p(s, q, a, p_min, depth, ls)
         total += c * y.value
         bound += abs(c) * y.bound
+    if cuts:
+        values, bounds = _direct_sums(cuts, q, a, p_min, ls.primes)
+        coeffs = np.array([plan[s] for s in cuts], dtype=complex)
+        terms = coeffs * values
+        total += complex(math.fsum(terms.real), math.fsum(terms.imag))
+        bound += float(np.abs(coeffs) @ bounds)
     return ProductResult(total, bound)
 
 

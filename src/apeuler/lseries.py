@@ -2,8 +2,10 @@
 
 Every value comes back as a ``ValueWithBound``: a complex double paired with a
 rigorous absolute radius covering all mathematical truncations.  Floating
-rounding is excluded from the bound contract by declaration (double precision
-leaves roughly four guard digits at the default target of 1e-14).
+rounding is still left out of these bounds (double precision leaves roughly
+four guard digits at the default target of 1e-14, but log L_P near 1 carries
+an error of about 1e-16 that no bound covers); the engine's direct prime sums
+for large Re s do include theirs.
 
 ``EvalParams`` holds that target alone; the Euler-Maclaurin (N, M) search
 starts and stops at fixed module constants.  ``LSeries`` caches the Hurwitz

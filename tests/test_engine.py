@@ -270,12 +270,28 @@ def _count_y_p(monkeypatch):
     return calls
 
 
+def _count_direct(monkeypatch):
+    exps = []
+    real = engine._direct_sums
+
+    def counting(cuts, *rest):
+        exps.extend(cuts)
+        return real(cuts, *rest)
+
+    monkeypatch.setattr(engine, "_direct_sums", counting)
+    return exps
+
+
 def test_continuation_demo_one_y_p_call_per_exponent(ls6, monkeypatch):
     calls = _count_y_p(monkeypatch)
+    direct = _count_direct(monkeypatch)
     continuation_demo(2 + 0j, 30, ls6, depth=10)
-    # 242 calls before equal exponents were merged; 3 of these 56 exponents
-    # were skipped while the magnitude majorant left out the P^-sigma term
-    assert len(calls) == len(set(calls)) == 56
+    # 242 y_p calls before equal exponents were merged.  Of the 82 exponents,
+    # 26 were once skipped as negligible; all but w = 5 now have a prime cut
+    # X_j <= 10^4 and are summed directly.
+    assert len(calls) == len(set(calls)) == 1
+    assert len(direct) == len(set(direct)) == 81
+    assert set(calls).isdisjoint(direct)
 
 
 def test_ap_product_is_the_one_term_plan(ls6, monkeypatch):
@@ -290,13 +306,38 @@ def test_ap_product_is_the_one_term_plan(ls6, monkeypatch):
 
 def test_multi_term_one_y_p_call_per_exponent(ls6, monkeypatch):
     calls = _count_y_p(monkeypatch)
+    direct = _count_direct(monkeypatch)
     spec = MultiTermSpec(
         terms=((0.9 + 0j, 1.0, 0.0), (0.6j, 2.0, -1.0), (-0.4 + 0j, 3.0, -1.0)),
         s=2 + 0j, q=5, a=2, p_min=7, depth=8,
     )
     multi_term_product(spec, ls6)
-    # 104 calls for these 21 exponents before equal exponents were merged
-    assert len(calls) == len(set(calls)) == 21
+    # 104 y_p calls before equal exponents were merged.  Of the 160 exponents,
+    # 139 were once skipped as negligible; all but 5 are now summed directly.
+    assert len(calls) == len(set(calls)) == 5
+    assert len(direct) == len(set(direct)) == 155
+    assert set(calls).isdisjoint(direct)
+
+
+def test_small_prime_table_falls_back_to_y_p(ls6, monkeypatch):
+    # with primes up to 100, every exponent whose cut X_j passes 100 goes to y_p
+    from apeuler import LSeries, sieve
+
+    spec = MultiTermSpec(
+        terms=((0.9 + 0j, 1.0, 0.0), (0.6j, 2.0, -1.0), (-0.4 + 0j, 3.0, -1.0)),
+        s=2 + 0j, q=5, a=2, p_min=7, depth=8,
+    )
+    calls = _count_y_p(monkeypatch)
+    runs = []
+    for ls in (LSeries(sieve(100)), ls6):
+        calls.clear()
+        multi = multi_term_product(spec, ls)
+        demo = continuation_demo(2 + 0j, 60, ls, depth=10)
+        runs.append((len(calls), (multi.log_value, multi.total_bound), (demo.value, demo.bound)))
+    (small_calls, *small), (big_calls, *big) = runs
+    assert small_calls > big_calls
+    for (v_small, b_small), (v_big, b_big) in zip(small, big):
+        assert abs(v_small - v_big) <= b_small + b_big
 
 
 def test_y_p_weight_table_built_once_per_residue_and_depth(ls6, monkeypatch):
