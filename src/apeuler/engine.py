@@ -4,9 +4,7 @@ Every product family compiles to one term plan: a dict {s_j: c_j} standing
 for sum_j c_j * y_p(s_j), equal exponents merged, plus one fixed bound (the
 structural truncation, the Lambert cut, kappa tails).  ``_execute`` evaluates
 each exponent once and returns the log exponent with its total bound
-(``ap_product`` is the one-term plan {s: 1}).  An exponent whose tail past a
-small prime cut X_j is below rounding (large Re s_j) is summed directly over
-the primes up to X_j; every other exponent goes through y_p:
+(``ap_product`` is the one-term plan {s: 1}):
 
   * ``ap_product``       -- prod_{p >= P, p = a mod q} (1 - p^-s)
   * ``rational_product`` -- prod (1 - F(1/p)/G(1/p)) for complex polynomials
@@ -14,6 +12,10 @@ the primes up to X_j; every other exponent goes through y_p:
 
 plus ``continuation_demo`` which rebuilds prod_p (1 + p^-s - p^-(2s-1)) from
 its necklace factorization and three zeta front factors.
+
+An exponent whose tail past a small prime cut X_j is below rounding (large
+Re s_j) is summed directly over the primes up to X_j, with that tail and the
+rounding in its bound; every other exponent goes through y_p.
 
 Sign convention: ``y_p`` approximates sum_{p >= P, p = a mod q} log(1 - p^-s)
 itself (it tends to 0 as P grows), so every product is exp of a plain sum.
