@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .arith import PrimeTable, sieve
 from .characters import character_group
 from .engine import (
@@ -154,13 +156,14 @@ def execute_job(mode: str, spec: dict) -> dict:
 
     if mode == "characters":
         grp = character_group(spec["q"])
+        # Table entry k is the angle k/lambda, reduced; -1 picks the trailing None.
+        k = np.arange(grp.exponent)
+        g = np.gcd(k, grp.exponent)
+        labels = [f"{n}/{d}" for n, d in zip((k // g).tolist(), (grp.exponent // g).tolist())]
+        labels.append(None)
         out["characters"] = [
-            {
-                "order": chi.order,
-                "angles": [None if a is None else f"{a.numerator}/{a.denominator}"
-                           for a in map(chi.angle, range(grp.modulus))],
-            }
-            for chi in grp.characters
+            {"order": chi.order, "angles": [labels[e] for e in row]}
+            for chi, row in zip(grp.characters, grp.table.tolist())
         ]
         return out
 

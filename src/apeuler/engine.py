@@ -156,13 +156,14 @@ class ProductResult:
         return (r * math.exp(-self.total_bound), r * math.exp(self.total_bound))
 
 
-def _y_magnitude_majorant(sigma: float, p_min: int, depth: int) -> float:
-    """Certified bound on |y_p|: P^-sigma (2 + L P / (sigma - 1)).
+def _log_y_magnitude_majorant(sigma: float, p_min: int, depth: int) -> float:
+    """Log of a certified bound on |y_p|: P^-sigma (2 + L P / (sigma - 1)).
 
     That is 2 P^-sigma + L P^(1-sigma) / (sigma - 1): the n = P term stays out of
     the integral comparison, without which large sigma would break the bound.
+    In log space, so neither factor overflows or underflows.
     """
-    return math.exp(-sigma * math.log(p_min)) * (2 + depth * p_min / (sigma - 1))
+    return math.log(2 + depth * p_min / (sigma - 1)) - sigma * math.log(p_min)
 
 
 def y_p(
@@ -301,18 +302,21 @@ def rational_product(spec: RationalProductSpec, ls: LSeries) -> ProductResult:
 
 
 def _kappa_tail(ac: float, sigma: float, p_min: int, depth: int) -> float:
-    """sum_{f > L} ac^f * _y_magnitude_majorant(f sigma, P, L), bounded in closed form.
+    """sum_{f > L} ac^f * exp(_log_y_magnitude_majorant(f sigma, P, L)), in closed form.
 
     With f0 = L + 1 and r = ac P^-sigma each term is at most
     (2 + L P / (f0 sigma - 1)) r^f, so the tail is at most
-    (2 + L P / (f0 sigma - 1)) r^f0 / (1 - r); evaluated in log space.
+    ac^f0 * exp(_log_y_magnitude_majorant(f0 sigma, P, L)) / (1 - r); evaluated
+    in log space.
     """
     f0 = depth + 1
     log_r = math.log(ac) - sigma * math.log(p_min)
     if log_r >= 0:
         raise PrecisionUnreachableError("kappa series diverges: max(1, |c|) P^-Re(w) >= 1")
     return math.exp(
-        math.log(2 + depth * p_min / (f0 * sigma - 1)) + f0 * log_r - math.log1p(-math.exp(log_r))
+        _log_y_magnitude_majorant(f0 * sigma, p_min, depth)
+        + f0 * math.log(ac)
+        - math.log1p(-math.exp(log_r))
     )
 
 
@@ -374,23 +378,16 @@ def _demo_tail_majorant(sigma: float, n_cut: int) -> float:
     """Bound on the neglected necklace factors with m1 + 2*m2 > n_cut.
 
     Each factor log is at most 4.5 * M(m) * 2^(-Re w) with
-    Re w = m1*sigma + m2*(2*sigma - 1) and M(m) <= 2^N, giving a double
-    geometric series in x = 2^(1-sigma), y = 2^(2-2*sigma).
+    Re w = m1*sigma + m2*(2*sigma - 1) and M(m) <= 2^N, giving the double
+    geometric series 4.5 sum_{m2 >= 1} y^m2 x^max(1, N - 2 m2 + 1) / (1 - x) in
+    x = 2^(1-sigma), y = x^2.  Its first K = floor(N/2) terms are x^(N+1) each
+    and the rest sum to x y^(K+1) / (1 - y), so it is taken in closed form.
     """
-    x = 2.0 ** (1 - sigma)
-    y = 2.0 ** (2 - 2 * sigma)
-    acc = 0.0
-    m2 = 1
-    while True:
-        lo = max(1, n_cut - 2 * m2 + 1)
-        term = y**m2 * x**lo / (1 - x)
-        acc += term
-        if term < 1e-300 or (m2 > n_cut and term < 1e-20 * acc):
-            break
-        m2 += 1
-        if m2 > 100000:
-            break
-    return 4.5 * acc
+    t = 1 - sigma  # log2 of x
+    k = n_cut // 2
+    head = k * 2.0 ** ((n_cut + 1) * t)
+    rest = 2.0 ** ((2 * k + 3) * t) / -math.expm1(2 * t * math.log(2))
+    return 4.5 * (head + rest) / -math.expm1(t * math.log(2))
 
 
 # 1 + p^-s - p^-(2s-1) = 1 - (a_1 p^-s + a_2 p^-(2s-1)); real coefficients keep c_m exact

@@ -11,6 +11,7 @@ from apeuler import (
     mobius,
     sieve,
 )
+from apeuler import arith
 from apeuler.arith import divisors, factorize
 
 
@@ -108,3 +109,41 @@ def test_bernoulli_values():
     assert b[4] == Fraction(-1, 30)
     assert b[12] == Fraction(-691, 2730)
     assert all(b[n] == 0 for n in range(3, 13, 2))
+
+
+def _bernoulli_by_recurrence(n):
+    # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, in exact rationals
+    out = [Fraction(1)]
+    for m in range(1, n + 1):
+        out.append(-sum(math.comb(m + 1, j) * out[j] for j in range(m)) / (m + 1))
+    return out
+
+
+def test_bernoulli_table_matches_the_recurrence():
+    reference = _bernoulli_by_recurrence(130)
+    b = BernoulliCache(130)
+    assert [b[n] for n in range(131)] == reference
+
+
+def test_bernoulli_cache_grows_on_demand():
+    reference = _bernoulli_by_recurrence(150)
+    b = BernoulliCache(4)
+    assert b[122] == reference[122]
+    assert b[123] == 0
+    assert [b[n] for n in range(151)] == reference
+    step = BernoulliCache(0)
+    assert [step[n] for n in range(151)] == reference
+
+
+def test_bernoulli_build_makes_one_fraction_per_entry(monkeypatch):
+    # the rational recurrence builds a Fraction per (m, j) pair, about 8,500 up to 130
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(1)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(arith, "Fraction", Counted)
+    BernoulliCache(130)
+    assert len(made) <= 140

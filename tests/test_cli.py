@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from apeuler import character_group
 from apeuler.cli import run
 
 
@@ -98,6 +99,29 @@ def test_characters_subcommand(capsys):
     code = run(["characters", "--q", "4"])
     out = capsys.readouterr().out
     assert code == 0 and len(out.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("q", [1, 2, 8, 101, 210])
+def test_characters_output_matches_the_exact_angles(capsys, q):
+    grp = character_group(q)
+    rows = [
+        (chi.order, [None if a is None else f"{a.numerator}/{a.denominator}"
+                     for a in map(chi.angle, range(q))])
+        for chi in grp.characters
+    ]
+    expected_json = {
+        "mode": "characters",
+        "spec": {"q": q},
+        "characters": [{"order": order, "angles": angles} for order, angles in rows],
+    }
+    expected_text = "".join(
+        f"chi_{i} (order {order}): " + " ".join("." if a is None else a for a in angles) + "\n"
+        for i, (order, angles) in enumerate(rows)
+    )
+    assert run(["characters", "--q", str(q), "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(expected_json) + "\n"
+    assert run(["characters", "--q", str(q)]) == 0
+    assert capsys.readouterr().out == expected_text
 
 
 def test_invalid_arguments_exit_two(capsys):

@@ -20,10 +20,11 @@ from apeuler import (
 )
 from apeuler import PrecisionUnreachableError, character_group, engine
 from apeuler.engine import (
+    _demo_tail_majorant,
     _execute,
     _kappa_tail,
+    _log_y_magnitude_majorant,
     _necklace_plan,
-    _y_magnitude_majorant,
 )
 
 
@@ -361,7 +362,7 @@ def test_y_p_weight_table_built_once_per_residue_and_depth(ls6, monkeypatch):
 )
 def test_kappa_tail_closed_form_covers_the_series(ac, sigma, p_min, depth):
     series = sum(
-        ac**f * _y_magnitude_majorant(f * sigma, p_min, depth)
+        ac**f * math.exp(_log_y_magnitude_majorant(f * sigma, p_min, depth))
         for f in range(depth + 1, depth + 400)
     )
     assert series <= _kappa_tail(ac, sigma, p_min, depth) <= 2 * series
@@ -372,7 +373,19 @@ def test_kappa_tail_closed_form_covers_the_series(ac, sigma, p_min, depth):
 def test_y_magnitude_majorant_covers_the_prime_sum(primes_1e6, p_min, sigma):
     primes = primes_1e6.in_range(p_min, 1000)
     direct = sum(abs(math.log1p(-(float(p) ** -sigma))) for p in primes)
-    assert _y_magnitude_majorant(sigma, p_min, 10) >= direct
+    assert math.exp(_log_y_magnitude_majorant(sigma, p_min, 10)) >= direct
+
+
+@pytest.mark.parametrize("n_cut", [3, 4, 30, 60])
+@pytest.mark.parametrize("sigma", [1.0001, 1.05, 1.5, 2.0, 3.0])
+def test_demo_tail_majorant_is_the_whole_series(sigma, n_cut):
+    # 4.5 sum_{m2 >= 1} x^(2 m2) x^max(1, N - 2 m2 + 1) / (1 - x), x = 2^(1-sigma),
+    # summed until the terms fall below 2^-80 of the first
+    t = 1 - sigma
+    m2 = np.arange(1, math.ceil(80 / (2 * -t)) + n_cut)
+    terms = 2.0 ** (t * (2 * m2 + np.maximum(1, n_cut - 2 * m2 + 1)))
+    series = 4.5 * math.fsum(terms) / -math.expm1(t * math.log(2))
+    assert _demo_tail_majorant(sigma, n_cut) == pytest.approx(series, rel=1e-13)
 
 
 def test_continuation_demo_refuses_an_overflowing_bound(ls6):
