@@ -20,6 +20,7 @@ import numpy as np
 from .arith import PrimeTable, sieve
 from .characters import character_group
 from .engine import (
+    _DEMO_TERMS,
     APProductSpec,
     MultiTermSpec,
     RationalProductSpec,
@@ -46,13 +47,13 @@ _EXIT_PRECISION = 3
 def _parse_complex(text: str) -> list[float]:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return [float(parts[0]), 0.0]
-        if len(parts) == 2:
-            return [float(parts[0]), float(parts[1])]
+        if len(parts) <= 2:
+            return [float(p) for p in parts] + [0.0] * (2 - len(parts))
     except ValueError:
         pass
-    raise InvalidArgumentError(f"cannot parse complex number {text!r} (want 're' or 're,im')")
+    raise argparse.ArgumentTypeError(
+        f"cannot parse complex number {text!r} (want 're' or 're,im')"
+    )
 
 
 def _parse_poly(text: str) -> list[list[float]]:
@@ -78,7 +79,7 @@ def _parse_poly(text: str) -> list[list[float]]:
             try:
                 out.append([float(e), 0.0])
             except ValueError:
-                raise InvalidArgumentError(f"cannot parse polynomial entry {e!r}")
+                raise argparse.ArgumentTypeError(f"cannot parse polynomial entry {e!r}")
     return out
 
 
@@ -87,14 +88,17 @@ def _parse_terms(text: str) -> list[list[float]]:
     for group in text.split(";"):
         parts = group.split(",")
         if len(parts) != 4:
-            raise InvalidArgumentError(
-                f"term {group!r} must be 'a_re,a_im,u,v'"
-            )
+            raise argparse.ArgumentTypeError(f"term {group!r} must be 'a_re,a_im,u,v'")
         try:
             out.append([float(p) for p in parts])
         except ValueError:
-            raise InvalidArgumentError(f"cannot parse term {group!r}")
+            raise argparse.ArgumentTypeError(f"cannot parse term {group!r}")
     return out
+
+
+def _parse_oracle_limit(text: str) -> int | None:
+    """--check-oracle 0 runs no oracle and leaves the spec as if the flag were absent."""
+    return int(text) or None
 
 
 def _poly_from_spec(entries) -> Polynomial:
@@ -125,23 +129,39 @@ def _cvec(z: complex) -> list[float]:
 
 
 def _build_spec(mode: str, spec: dict):
+    """The validated library spec of a JSON spec, and a call ls -> (value, log_value, bound).
+
+    The demo's library spec is its multi-term product, read by the oracle only.
+    Engine functions are looked up here, at run time, so wrappers put in this
+    module's namespace see every call.
+    """
+    if mode == "demo":
+        s, n_max, depth = complex(*spec["s"]), spec["n_max"], spec.get("L", 10)
+
+        def evaluate(ls: LSeries):
+            res = continuation_demo(s, n_max, ls, depth=depth)
+            return res.value, cmath.log(res.value), res.bound
+
+        return MultiTermSpec(terms=_DEMO_TERMS, s=s, depth=depth), evaluate
+    if mode not in ("ap", "rational", "multi"):
+        raise InvalidArgumentError(f"unknown product mode {mode!r}")
+    common = dict(q=spec["q"], a=spec["a"], p_min=spec["P"], depth=spec["L"])
     if mode == "ap":
-        return APProductSpec(
-            s=complex(*spec["s"]), q=spec["q"], a=spec["a"],
-            p_min=spec["P"], depth=spec["L"],
-        )
-    if mode == "rational":
-        return RationalProductSpec(
-            f=_poly_from_spec(spec["F"]), g=_poly_from_spec(spec["G"]),
-            q=spec["q"], a=spec["a"], p_min=spec["P"], depth=spec["L"],
-        )
-    if mode == "multi":
-        return MultiTermSpec(
-            terms=tuple((complex(a_re, a_im), u, v) for a_re, a_im, u, v in spec["terms"]),
-            s=complex(*spec["s"]), q=spec["q"], a=spec["a"],
-            p_min=spec["P"], depth=spec["L"],
-        )
-    raise InvalidArgumentError(f"unknown product mode {mode!r}")
+        product, family = APProductSpec(s=complex(*spec["s"]), **common), ap_product
+    elif mode == "rational":
+        product = RationalProductSpec(f=_poly_from_spec(spec["F"]), g=_poly_from_spec(spec["G"]), **common)
+        family = rational_product
+    else:
+        terms = tuple((complex(a_re, a_im), u, v) for a_re, a_im, u, v in spec["terms"])
+        product = MultiTermSpec(terms=terms, s=complex(*spec["s"]), **common)
+        family = multi_term_product
+    product.validate()
+
+    def evaluate(ls: LSeries):
+        res = family(product, ls)
+        return res.value, res.log_value, res.total_bound
+
+    return product, evaluate
 
 
 def execute_job(mode: str, spec: dict) -> dict:
@@ -149,8 +169,7 @@ def execute_job(mode: str, spec: dict) -> dict:
     out: dict = {"mode": mode, "spec": spec}
 
     if mode == "witt":
-        poly = _poly_from_spec(spec["poly"])
-        bs = witt_b(poly, spec["K"])
+        bs = witt_b(_poly_from_spec(spec["poly"]), spec["K"])
         out["b"] = [_cvec(b) for b in bs]
         return out
 
@@ -167,55 +186,31 @@ def execute_job(mode: str, spec: dict) -> dict:
         ]
         return out
 
-    oracle_limit = spec.get("oracle_limit")
-
-    if mode == "demo":
-        ls, table = _make_lseries(2, oracle_limit)
-        res = continuation_demo(complex(*spec["s"]), spec["n_max"], ls, depth=spec.get("L", 10))
-        out["value"] = _cvec(res.value)
-        out["log_value"] = _cvec(cmath.log(res.value))
-        out["bound"] = res.bound
-        if oracle_limit:
-            prod = MultiTermSpec(
-                terms=((-1 + 0j, 1.0, 0.0), (1 + 0j, 2.0, -1.0)),
-                s=complex(*spec["s"]), q=1, a=1, p_min=2, depth=spec.get("L", 10),
-            )
-            orc = oracle_log_product(prod, table, oracle_limit)
-            out["oracle"] = {
-                "log_value": _cvec(orc.log_value),
-                "tail_bound": orc.tail_bound,
-                "delta": abs(res.value - cmath.exp(orc.log_value)),
-            }
-        return out
-
     if mode == "oracle":
-        product = _build_spec(spec["kind"], spec)
-        product.validate()
-        _, table = _make_lseries(product.p_min, spec["limit"])
-        orc = oracle_log_product(product, table, spec["limit"])
+        product, _ = _build_spec(spec["kind"], spec)
+        limit = spec["limit"]
+        _, table = _make_lseries(product.p_min, limit)
+        orc = oracle_log_product(product, table, limit)
         out["log_value"] = _cvec(orc.log_value)
         out["value"] = _cvec(cmath.exp(orc.log_value))
         out["bound"] = orc.tail_bound
         return out
 
-    product = _build_spec(mode, spec)
-    product.validate()
+    product, evaluate = _build_spec(mode, spec)
+    oracle_limit = spec.get("oracle_limit")
     ls, table = _make_lseries(product.p_min, oracle_limit)
-    if mode == "ap":
-        res = ap_product(product, ls)
-    elif mode == "rational":
-        res = rational_product(product, ls)
-    else:
-        res = multi_term_product(product, ls)
-    out["value"] = _cvec(res.value)
-    out["log_value"] = _cvec(res.log_value)
-    out["bound"] = res.total_bound
+    value, log_value, bound = evaluate(ls)
+    out["value"] = _cvec(value)
+    out["log_value"] = _cvec(log_value)
+    out["bound"] = bound
     if oracle_limit:
         orc = oracle_log_product(product, table, oracle_limit)
         out["oracle"] = {
             "log_value": _cvec(orc.log_value),
             "tail_bound": orc.tail_bound,
-            "delta": abs(res.log_value - orc.log_value),
+            # the demo bounds its value, the product families their log
+            "delta": abs(value - cmath.exp(orc.log_value)) if mode == "demo"
+            else abs(log_value - orc.log_value),
         }
     return out
 
@@ -249,96 +244,74 @@ def _emit(out: dict, as_json: bool, stream=None) -> None:
         )
 
 
-def _add_product_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--s", default="2", help="complex exponent 're,im'")
+def _add_product_parser(sub, name: str, help: str, parents: list, **family) -> None:
+    """A subcommand with the shared product flags, the family's own, then --check-oracle."""
+    p = sub.add_parser(name, help=help, parents=parents)
+    p.add_argument("--s", type=_parse_complex, default="2", help="complex exponent 're,im'")
     p.add_argument("--q", type=int, default=1, help="modulus")
     p.add_argument("--a", type=int, default=1, help="residue class, gcd(a,q)=1")
     p.add_argument("--P", type=int, default=2, help="first prime included")
     p.add_argument("--L", type=int, default=10, help="truncation depth")
-    p.add_argument("--check-oracle", type=int, metavar="LIMIT",
+    for flag, kwargs in family.items():
+        p.add_argument(f"--{flag}", **kwargs)
+    p.add_argument("--check-oracle", dest="oracle_limit", type=_parse_oracle_limit, metavar="LIMIT",
                    help="also run the brute-force product over primes <= LIMIT")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="apeuler", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    parents = [argparse.ArgumentParser(add_help=False)]
+    parents[0].add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("ap", help="prod (1 - p^-s) over p = a mod q, p >= P")
-    _add_product_flags(p)
+    _add_product_parser(sub, "ap", "prod (1 - p^-s) over p = a mod q, p >= P", parents)
+    _add_product_parser(
+        sub, "rational", "prod (1 - F(1/p)/G(1/p))", parents,
+        F=dict(type=_parse_poly, required=True, help="F coefficients, ascending"),
+        G=dict(type=_parse_poly, default="1", help="G coefficients, ascending"),
+    )
+    _add_product_parser(
+        sub, "multi", "prod (1 - sum_l a_l p^-(u_l s + v_l))", parents,
+        terms=dict(type=_parse_terms, required=True, help="'a_re,a_im,u,v;...'"),
+    )
 
-    p = sub.add_parser("rational", help="prod (1 - F(1/p)/G(1/p))")
-    _add_product_flags(p)
-    p.add_argument("--F", required=True, help="F coefficients, ascending")
-    p.add_argument("--G", default="1", help="G coefficients, ascending")
-
-    p = sub.add_parser("multi", help="prod (1 - sum_l a_l p^-(u_l s + v_l))")
-    _add_product_flags(p)
-    p.add_argument("--terms", required=True, help="'a_re,a_im,u,v;...'")
-
-    p = sub.add_parser("demo", help="analytic-continuation style rebuild of prod (1 + p^-s - p^-(2s-1))")
-    p.add_argument("--s", default="2")
-    p.add_argument("--nmax", type=int, default=30, help="largest m1 + 2*m2 kept")
+    p = sub.add_parser("demo", help="analytic-continuation style rebuild of prod (1 + p^-s - p^-(2s-1))",
+                       parents=parents)
+    p.add_argument("--s", type=_parse_complex, default="2")
+    p.add_argument("--nmax", dest="n_max", metavar="NMAX", type=int, default=30, help="largest m1 + 2*m2 kept")
     p.add_argument("--L", type=int, default=10)
-    p.add_argument("--check-oracle", type=int, metavar="LIMIT")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--check-oracle", dest="oracle_limit", type=_parse_oracle_limit, metavar="LIMIT")
 
-    p = sub.add_parser("oracle", help="brute-force product only")
-    _add_product_flags(p)
-    p.add_argument("--F", help="switches to the rational product")
-    p.add_argument("--G", default="1")
-    p.add_argument("--terms", help="switches to the multi-term product")
-    p.add_argument("--limit", type=int, required=True, help="largest prime summed")
+    _add_product_parser(
+        sub, "oracle", "brute-force product only", parents,
+        F=dict(type=_parse_poly, help="switches to the rational product"),
+        G=dict(type=_parse_poly, default="1"),
+        terms=dict(type=_parse_terms, help="switches to the multi-term product"),
+        limit=dict(type=int, required=True, help="largest prime summed"),
+    )
 
-    p = sub.add_parser("witt", help="necklace-factorization exponents of a polynomial")
-    p.add_argument("--poly", required=True, help="coefficients, ascending, constant 1")
+    p = sub.add_parser("witt", parents=parents, help="necklace-factorization exponents of a polynomial")
+    p.add_argument("--poly", type=_parse_poly, required=True, help="coefficients, ascending, constant 1")
     p.add_argument("--K", type=int, default=10)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("characters", help="list the character table mod q")
+    p = sub.add_parser("characters", parents=parents, help="list the character table mod q")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
     return ap
 
 
 def _spec_from_args(args: argparse.Namespace) -> tuple[str, dict]:
+    """The namespace less the command, --json and unset flags, in declaration order.
+
+    The oracle takes its kind from the family flags (--terms before --F), keeps
+    only that family's flags and ignores --check-oracle.
+    """
     mode = args.command
-    if mode == "witt":
-        return mode, {"poly": _parse_poly(args.poly), "K": args.K}
-    if mode == "characters":
-        return mode, {"q": args.q}
-    if mode == "demo":
-        spec = {"s": _parse_complex(args.s), "n_max": args.nmax, "L": args.L}
-        if args.check_oracle:
-            spec["oracle_limit"] = args.check_oracle
-        return mode, spec
-    spec = {
-        "s": _parse_complex(args.s),
-        "q": args.q,
-        "a": args.a,
-        "P": args.P,
-        "L": args.L,
-    }
+    spec = {k: v for k, v in vars(args).items() if v is not None and k not in ("command", "json")}
     if mode == "oracle":
-        if args.terms:
-            spec["kind"] = "multi"
-            spec["terms"] = _parse_terms(args.terms)
-        elif args.F:
-            spec["kind"] = "rational"
-            spec["F"] = _parse_poly(args.F)
-            spec["G"] = _parse_poly(args.G)
-        else:
-            spec["kind"] = "ap"
-        spec["limit"] = args.limit
-        return mode, spec
-    if mode == "rational":
-        spec["F"] = _parse_poly(args.F)
-        spec["G"] = _parse_poly(args.G)
-    if mode == "multi":
-        spec["terms"] = _parse_terms(args.terms)
-    if getattr(args, "check_oracle", None):
-        spec["oracle_limit"] = args.check_oracle
+        kind = "multi" if "terms" in spec else "rational" if "F" in spec else "ap"
+        keys = ("s", "q", "a", "P", "L", "kind", *{"ap": (), "rational": ("F", "G"), "multi": ("terms",)}[kind], "limit")
+        spec = {k: kind if k == "kind" else spec[k] for k in keys}
     return mode, spec
 
 
@@ -359,7 +332,7 @@ def run(argv: list[str] | None = None) -> int:
             return int(e.code or 0)
         mode, spec = _spec_from_args(args)
         out = execute_job(mode, spec)
-        _emit(out, as_json=getattr(args, "json", False))
+        _emit(out, as_json=args.json)
         return _EXIT_OK
     except PrecisionUnreachableError as e:
         print(f"error: {e}", file=sys.stderr)
