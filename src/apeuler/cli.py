@@ -3,8 +3,13 @@
 Subcommands: ap, rational, multi, demo, oracle, witt, characters.  Complex
 numbers are written "re,im" (or just "re"); polynomials as comma-separated
 ascending coefficients with optional "(re,im)" entries; multi-term payloads
-as "a_re,a_im,u,v;..." groups.  Set EULER_AP_EPS to override the default
-evaluation target of 1e-14.
+as "a_re,a_im,u,v;..." groups; every number must be finite.  Set
+EULER_AP_EPS to override the default evaluation target of 1e-14.
+
+The job spec that --json echoes is the parsed command line itself: each
+flag's argparse dest is its spec key (--nmax is n_max, --check-oracle is
+oracle_limit).  --from-json replays a saved spec through the same spec
+builder as the command line.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 
@@ -42,17 +48,28 @@ from .witt import Polynomial, witt_b
 _EXIT_OK = 0
 _EXIT_INVALID = 2
 _EXIT_PRECISION = 3
+_PRODUCTS = ("ap", "rational", "multi")  # the product families; the oracle's kinds
+
+
+# Command-line parsers: argparse types that produce JSON spec values.
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not finite")
+    return x
 
 
 def _parse_complex(text: str) -> list[float]:
     parts = text.split(",")
     try:
         if len(parts) <= 2:
-            return [float(p) for p in parts] + [0.0] * (2 - len(parts))
+            return [_finite(p) for p in parts] + [0.0] * (2 - len(parts))
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"cannot parse complex number {text!r} (want 're' or 're,im')"
+        f"cannot parse complex number {text!r} (want finite 're' or 're,im')"
     )
 
 
@@ -77,7 +94,7 @@ def _parse_poly(text: str) -> list[list[float]]:
             out.append(_parse_complex(e[1:-1]))
         else:
             try:
-                out.append([float(e), 0.0])
+                out.append([_finite(e), 0.0])
             except ValueError:
                 raise argparse.ArgumentTypeError(f"cannot parse polynomial entry {e!r}")
     return out
@@ -90,7 +107,7 @@ def _parse_terms(text: str) -> list[list[float]]:
         if len(parts) != 4:
             raise argparse.ArgumentTypeError(f"term {group!r} must be 'a_re,a_im,u,v'")
         try:
-            out.append([float(p) for p in parts])
+            out.append([_finite(p) for p in parts])
         except ValueError:
             raise argparse.ArgumentTypeError(f"cannot parse term {group!r}")
     return out
@@ -101,8 +118,52 @@ def _parse_oracle_limit(text: str) -> int | None:
     return int(text) or None
 
 
-def _poly_from_spec(entries) -> Polynomial:
-    return Polynomial.of([complex(re, im) for re, im in entries])
+# Spec readers: a JSON spec value to a library value, raising TypeError or
+# ValueError on a wrong type or shape.
+
+
+def _int(x) -> int:
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
+def _real(x) -> float:
+    if type(x) not in (int, float) or not math.isfinite(x):
+        raise TypeError(f"{x!r} is not a finite number")
+    return x
+
+
+def _complex(x) -> complex:
+    re, im = x
+    return complex(_real(re), _real(im))
+
+
+def _poly(x) -> Polynomial:
+    return Polynomial.of([_complex(c) for c in x])
+
+
+def _terms(x) -> tuple[tuple[complex, float, float], ...]:
+    return tuple((complex(_real(re), _real(im)), _real(u), _real(v)) for re, im, u, v in x)
+
+
+def _kind(x) -> str:
+    if x not in _PRODUCTS:
+        raise ValueError(f"{x!r} is not one of {_PRODUCTS}")
+    return x
+
+
+def _read(spec: dict, key: str, reader=_int, default=None):
+    """reader(spec[key]), or the default if one is given and the key is absent.
+
+    A missing or malformed field is an InvalidArgumentError.
+    """
+    if key not in spec and default is not None:
+        return default
+    try:
+        return reader(spec[key])
+    except (KeyError, TypeError, ValueError) as e:
+        raise InvalidArgumentError(f"spec field {key!r}: {'missing' if key not in spec else e}") from None
 
 
 def _params_from_env() -> EvalParams:
@@ -136,24 +197,23 @@ def _build_spec(mode: str, spec: dict):
     module's namespace see every call.
     """
     if mode == "demo":
-        s, n_max, depth = complex(*spec["s"]), spec["n_max"], spec.get("L", 10)
+        s, n_max, depth = _read(spec, "s", _complex), _read(spec, "n_max"), _read(spec, "L", default=10)
 
         def evaluate(ls: LSeries):
             res = continuation_demo(s, n_max, ls, depth=depth)
             return res.value, cmath.log(res.value), res.bound
 
         return MultiTermSpec(terms=_DEMO_TERMS, s=s, depth=depth), evaluate
-    if mode not in ("ap", "rational", "multi"):
+    if mode not in _PRODUCTS:
         raise InvalidArgumentError(f"unknown product mode {mode!r}")
-    common = dict(q=spec["q"], a=spec["a"], p_min=spec["P"], depth=spec["L"])
+    common = dict(q=_read(spec, "q"), a=_read(spec, "a"), p_min=_read(spec, "P"), depth=_read(spec, "L"))
     if mode == "ap":
-        product, family = APProductSpec(s=complex(*spec["s"]), **common), ap_product
+        product, family = APProductSpec(s=_read(spec, "s", _complex), **common), ap_product
     elif mode == "rational":
-        product = RationalProductSpec(f=_poly_from_spec(spec["F"]), g=_poly_from_spec(spec["G"]), **common)
+        product = RationalProductSpec(f=_read(spec, "F", _poly), g=_read(spec, "G", _poly), **common)
         family = rational_product
     else:
-        terms = tuple((complex(a_re, a_im), u, v) for a_re, a_im, u, v in spec["terms"])
-        product = MultiTermSpec(terms=terms, s=complex(*spec["s"]), **common)
+        product = MultiTermSpec(terms=_read(spec, "terms", _terms), s=_read(spec, "s", _complex), **common)
         family = multi_term_product
     product.validate()
 
@@ -169,12 +229,12 @@ def execute_job(mode: str, spec: dict) -> dict:
     out: dict = {"mode": mode, "spec": spec}
 
     if mode == "witt":
-        bs = witt_b(_poly_from_spec(spec["poly"]), spec["K"])
+        bs = witt_b(_read(spec, "poly", _poly), _read(spec, "K"))
         out["b"] = [_cvec(b) for b in bs]
         return out
 
     if mode == "characters":
-        grp = character_group(spec["q"])
+        grp = character_group(_read(spec, "q"))
         # Table entry k is the angle k/lambda, reduced; -1 picks the trailing None.
         k = np.arange(grp.exponent)
         g = np.gcd(k, grp.exponent)
@@ -187,8 +247,8 @@ def execute_job(mode: str, spec: dict) -> dict:
         return out
 
     if mode == "oracle":
-        product, _ = _build_spec(spec["kind"], spec)
-        limit = spec["limit"]
+        product, _ = _build_spec(_read(spec, "kind", _kind), spec)
+        limit = _read(spec, "limit")
         _, table = _make_lseries(product.p_min, limit)
         orc = oracle_log_product(product, table, limit)
         out["log_value"] = _cvec(orc.log_value)
@@ -197,7 +257,7 @@ def execute_job(mode: str, spec: dict) -> dict:
         return out
 
     product, evaluate = _build_spec(mode, spec)
-    oracle_limit = spec.get("oracle_limit")
+    oracle_limit = _read(spec, "oracle_limit", default=0)
     ls, table = _make_lseries(product.p_min, oracle_limit)
     value, log_value, bound = evaluate(ls)
     out["value"] = _cvec(value)
@@ -323,7 +383,9 @@ def run(argv: list[str] | None = None) -> int:
                 raise InvalidArgumentError("--from-json requires a file path")
             with open(argv[1]) as fh:
                 previous = json.load(fh)
-            out = execute_job(previous["mode"], previous["spec"])
+            if not isinstance(previous, dict) or not isinstance(previous.get("spec"), dict):
+                raise InvalidArgumentError(f"{argv[1]} holds no {{'mode': ..., 'spec': {{...}}}} object")
+            out = execute_job(previous.get("mode"), previous["spec"])
             _emit(out, as_json=True)
             return _EXIT_OK
         try:

@@ -145,6 +145,12 @@ class ProductResult:
     log_value: complex
     total_bound: float
 
+    def __post_init__(self):
+        if not (self.total_bound >= 0.0) or not math.isfinite(self.total_bound):
+            raise InvalidArgumentError("total bound must be a finite nonnegative real")
+        if not cmath.isfinite(self.log_value):
+            raise OutOfDomainError("non-finite log value")
+
     @property
     def value(self) -> complex:
         return cmath.exp(self.log_value)
@@ -411,6 +417,8 @@ def continuation_demo(
             raise OutOfDomainError(f"zeta argument {name} has real part <= 1")
     if n_max < 3:
         raise InvalidArgumentError("n_max must be >= 3")
+    if depth < 2:
+        raise InvalidArgumentError("L must be >= 2")
     z1 = ls.zeta(2 * s - 1).log()
     z2 = ls.zeta(2 * s).log()
     z3 = ls.zeta(s).log()

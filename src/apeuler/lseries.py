@@ -284,8 +284,15 @@ class LSeries:
         """Smallest P0 with 1/((sigma-1)(P0-1)^(sigma-1)) < 0.9.
 
         Below that threshold the series log of L_P0 has modulus < 0.9 < pi,
-        so it coincides with the principal log of the value.
+        so it coincides with the principal log of the value.  Refused when P0
+        passes the prime table; that test is made on log P0 first, since P0
+        overflows a double as sigma -> 1.
         """
+        log_t = -math.log(0.9 * (sigma - 1)) / (sigma - 1)
+        if log_t > math.log(self.primes.limit) + 1:
+            raise InvalidArgumentError(
+                f"prime table limit {self.primes.limit} too small for threshold e^{log_t:.4g}"
+            )
         t = (1.0 / (0.9 * (sigma - 1))) ** (1.0 / (sigma - 1))
         return math.floor(t) + 2
 

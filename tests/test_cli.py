@@ -171,3 +171,51 @@ def test_from_json_missing_file(capsys):
     assert run(["--from-json", "/nonexistent/job.json"]) == 2
     assert run(["--from-json"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"mode": "ap", "spec": {}},
+        {"spec": {}},
+        [1, 2],
+        {"mode": "ap", "spec": {"s": [2.0, 0.0], "q": 1, "a": 1, "P": 2, "L": "x"}},
+    ],
+    ids=["empty-spec", "no-mode", "not-an-object", "mistyped-L"],
+)
+def test_from_json_malformed_job_exits_two(capsys, tmp_path, doc):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    assert run(["--from-json", str(job)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rational", "--F", "0,0,1", "--G", "1,nan", "--P", "5", "--json"],
+        ["multi", "--terms=nan,0,1,0", "--P", "10", "--json"],
+    ],
+)
+def test_non_finite_numbers_exit_two(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ap", "--s", "1.001"],
+        ["ap", "--s", "1.001,5", "--q", "4", "--a", "3"],
+        ["multi", "--terms=0.1,0,1,0", "--s", "1.001", "--P", "10"],
+    ],
+)
+def test_re_s_just_above_one_is_refused_for_the_prime_table(capsys, argv):
+    assert run(argv) == 2
+    assert "prime table limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["demo", "--L", "1", "--s", "3"], ["demo", "--L", "0"]])
+def test_demo_depth_below_two_exits_two(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""

@@ -248,6 +248,28 @@ def test_continuation_demo_domain():
         continuation_demo(2 + 0j, 2, ls)
 
 
+@pytest.mark.parametrize("depth", [0, 1])
+def test_continuation_demo_checks_depth_before_routing(ls6, depth):
+    # at s = 3 every exponent is summed directly, so no y_p call would check L
+    with pytest.raises(InvalidArgumentError):
+        continuation_demo(3 + 0j, 30, ls6, depth=depth)
+
+
+def test_product_result_refuses_non_finite_parts():
+    with pytest.raises(OutOfDomainError):
+        engine.ProductResult(complex(math.nan, 0.0), 1e-10)
+    with pytest.raises(InvalidArgumentError):
+        engine.ProductResult(0j, math.inf)
+
+
+def test_rational_product_refuses_a_nan_coefficient(ls6):
+    # beta_bound takes max(2, nan) = 2, so the spec validates; the result must not
+    spec = RationalProductSpec(f=Polynomial.of([0, 0, 1]), g=Polynomial.of([1, math.nan]), p_min=5)
+    spec.validate()
+    with pytest.raises((InvalidArgumentError, OutOfDomainError)):
+        rational_product(spec, ls6)
+
+
 def test_y_p_all_residues_mod_101_sum_to_zeta(ls6):
     # the character sums over all classes cancel every non-principal term
     # exactly, leaving -log L_P(s, chi_0) = -log zeta_P(s) - log(1 - 101^-s)

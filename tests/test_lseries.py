@@ -130,13 +130,22 @@ def test_log_truncated_l_far_truncation_small(ls6):
     assert abs(lt.value) < 1e-4  # roughly sum p^{-2} beyond 10^4
 
 
+@pytest.mark.parametrize("s", [1.001 + 0j, 1.001 + 5j])
+def test_log_truncated_l_refuses_a_threshold_past_the_table(ls6, s):
+    # the branch threshold P0 is about e^6900 here, beyond a double
+    chi = character_group(4).characters[1]
+    with pytest.raises(InvalidArgumentError, match="prime table limit"):
+        ls6.log_truncated_l(s, chi, 2)
+
+
 def test_log_truncated_l_double_sum_oracle(ls6):
     chi = next(c for c in character_group(4).characters if not c.is_principal)
     ps = ls6.primes.in_range(5, 10**6)
     direct = 0j
+    residues = np.ones_like(ps)  # p^k mod 4, stepped in k
     for k in range(1, 41):
-        chi_k = np.array([chi(int(p) ** k % 4) for p in ps])
-        direct += np.sum(chi_k * ps.astype(float) ** (-2.0 * k)) / k
+        residues = residues * (ps % 4) % 4
+        direct += np.sum(chi.values[residues] * ps.astype(float) ** (-2.0 * k)) / k
     tail = 2.0 / 10**6  # geometric remainder over p > 1e6 and k > 40
     lt = ls6.log_truncated_l(2 + 0j, chi, 5)
     assert abs(lt.value - direct) <= lt.bound + tail + 1e-12
