@@ -17,6 +17,8 @@ from .errors import InvalidArgumentError
 
 # Segment size for the segmented sieve; keeps peak memory modest even at 1e8.
 _SEGMENT = 1 << 20
+# Largest sieve limit accepted: its table of about 5.8e6 primes takes 46 MB.
+SIEVE_MAX = 10**8
 _ZERO = Fraction(0)
 
 
@@ -51,9 +53,11 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 def sieve(limit: int) -> PrimeTable:
-    """Segmented Eratosthenes sieve up to ``limit`` inclusive."""
+    """Segmented Eratosthenes sieve up to ``limit`` inclusive, 2 <= limit <= SIEVE_MAX."""
     if limit < 2:
         raise InvalidArgumentError("sieve limit must be >= 2")
+    if limit > SIEVE_MAX:
+        raise InvalidArgumentError(f"sieve limit {limit} exceeds the largest supported, {SIEVE_MAX}")
     root = math.isqrt(limit)
     base = _simple_sieve(max(root, 2))
     chunks = []

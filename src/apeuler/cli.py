@@ -171,12 +171,9 @@ def _params_from_env() -> EvalParams:
     if raw is None:
         return EvalParams()
     try:
-        eps = float(raw)
-    except ValueError:
-        raise InvalidArgumentError(f"EULER_AP_EPS={raw!r} is not a number")
-    if eps <= 0:
-        raise InvalidArgumentError("EULER_AP_EPS must be positive")
-    return EvalParams(target_eps=eps)
+        return EvalParams(target_eps=float(raw))
+    except ValueError as e:  # not a number, or refused by EvalParams
+        raise InvalidArgumentError(f"EULER_AP_EPS={raw!r}: {e}") from None
 
 
 def _make_lseries(p_min: int, oracle_limit: int | None) -> tuple[LSeries, PrimeTable]:

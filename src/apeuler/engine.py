@@ -13,9 +13,13 @@ each exponent once and returns the log exponent with its total bound
 plus ``continuation_demo`` which rebuilds prod_p (1 + p^-s - p^-(2s-1)) from
 its necklace factorization and three zeta front factors.
 
+Necklace plans (multi and the demo) are compiled in array passes over all
+multi-indices at once; see ``_necklace_plan``.
+
 An exponent whose tail past a small prime cut X_j is below rounding (large
 Re s_j) is summed directly over the primes up to X_j, with that tail and the
-rounding in its bound; every other exponent goes through y_p.
+rounding in its bound; every other exponent goes through y_p.  One array call
+of ``_direct_cut`` routes every exponent of a plan.
 
 Sign convention: ``y_p`` approximates sum_{p >= P, p = a mod q} log(1 - p^-s)
 itself (it tends to 0 as P grows), so every product is exp of a plain sum.
@@ -162,14 +166,14 @@ class ProductResult:
         return (r * math.exp(-self.total_bound), r * math.exp(self.total_bound))
 
 
-def _log_y_magnitude_majorant(sigma: float, p_min: int, depth: int) -> float:
-    """Log of a certified bound on |y_p|: P^-sigma (2 + L P / (sigma - 1)).
+def _log_y_magnitude_majorant(sigma, p_min: int, depth: int):
+    """Log of a certified bound on |y_p|: P^-sigma (2 + L P / (sigma - 1)), elementwise in sigma.
 
     That is 2 P^-sigma + L P^(1-sigma) / (sigma - 1): the n = P term stays out of
     the integral comparison, without which large sigma would break the bound.
     In log space, so neither factor overflows or underflows.
     """
-    return math.log(2 + depth * p_min / (sigma - 1)) - sigma * math.log(p_min)
+    return np.log(2 + depth * p_min / (sigma - 1)) - sigma * math.log(p_min)
 
 
 def y_p(
@@ -200,22 +204,23 @@ def y_p(
     return ValueWithBound(-total, bound)
 
 
-def _direct_cut(sigma: float, p_min: int, limit: int) -> int | None:
-    """Smallest X whose tail bound 2 sigma/(sigma-1) (X+1)^(1-sigma) is <= u P^-sigma.
+def _direct_cut(sigma: np.ndarray, p_min: int, limit: int) -> np.ndarray:
+    """Per sigma, the smallest X whose tail bound 2 sigma/(sigma-1) (X+1)^(1-sigma) is <= u P^-sigma.
 
-    That majorizes sum_{n > X} |log(1 - n^-s)| by |log(1 - z)| <= 2|z|.  None
-    when X would pass min(_DIRECT_CAP, limit): the prime table must reach X.
+    That majorizes sum_{n > X} |log(1 - n^-s)| by |log(1 - z)| <= 2|z|.  The
+    cut is 0 where X would pass min(_DIRECT_CAP, limit): the prime table must
+    reach X.
     """
-    log_x1 = (sigma * math.log(p_min) - math.log(_U * (sigma - 1) / (2 * sigma))) / (sigma - 1)
-    if log_x1 > math.log(min(_DIRECT_CAP, limit) + 1):
-        return None
-    return max(p_min, math.ceil(math.exp(log_x1)) - 1)
+    log_x1 = (sigma * math.log(p_min) - np.log(_U * (sigma - 1) / (2 * sigma))) / (sigma - 1)
+    fits = log_x1 <= math.log(min(_DIRECT_CAP, limit) + 1)
+    cut = np.maximum(p_min, np.ceil(np.exp(np.where(fits, log_x1, 0.0))) - 1)
+    return np.where(fits, cut, 0).astype(np.int64)
 
 
 def _direct_sums(
-    cuts: dict[complex, int], q: int, a: int, p_min: int, primes: PrimeTable
+    exps: np.ndarray, xs: np.ndarray, q: int, a: int, p_min: int, primes: PrimeTable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{P <= p <= X_j, p = a mod q} log(1 - p^-s_j) for each {s_j: X_j}, with bounds.
+    """sum_{P <= p <= X_j, p = a mod q} log(1 - p^-s_j) for each s_j in exps, X_j in xs, with bounds.
 
     With z = r e^(i theta), log(1 - z) is formed as (1/2) log1p(r^2 - 2 Re z) +
     i atan2(-Im z, 1 - Re z): complex log1p loses small arguments.  The bound
@@ -225,8 +230,6 @@ def _direct_sums(
     caller's product with c_j and its fsum add 8 u sum r.  Each cell adds
     2^-1000 for underflow.
     """
-    exps = np.array(list(cuts), dtype=complex)
-    xs = np.array(list(cuts.values()))
     ps = primes.in_range(p_min, int(xs.max()))
     ps = ps[ps % q == a % q]
     logp = np.log(ps.astype(float))
@@ -263,26 +266,25 @@ def _execute(
 ) -> ProductResult:
     """sum_j c_j y_p(s_j) over a term plan {s_j: c_j}, plus the plan's fixed bound.
 
-    Each exponent is evaluated once: by _direct_sums when its prime cut from
-    _direct_cut fits the cap and the prime table, by y_p otherwise.
+    Each exponent is evaluated once: one _direct_cut call routes them all, to
+    _direct_sums where the prime cut fits the cap and the prime table, to y_p
+    (in plan order) where it does not.
     """
+    exps = np.array(list(plan), dtype=complex)
+    coeffs = np.array(list(plan.values()), dtype=complex)
+    cuts = _direct_cut(exps.real, p_min, ls.primes.limit)
+    direct = cuts > 0
     total = 0j
     bound = fixed
-    cuts = {}
-    for s, c in plan.items():
-        x = _direct_cut(s.real, p_min, ls.primes.limit)
-        if x is not None:
-            cuts[s] = x
-            continue
+    for s, c in zip(exps[~direct].tolist(), coeffs[~direct].tolist()):
         y = y_p(s, q, a, p_min, depth, ls)
         total += c * y.value
         bound += abs(c) * y.bound
-    if cuts:
-        values, bounds = _direct_sums(cuts, q, a, p_min, ls.primes)
-        coeffs = np.array([plan[s] for s in cuts], dtype=complex)
-        terms = coeffs * values
+    if direct.any():
+        values, bounds = _direct_sums(exps[direct], cuts[direct], q, a, p_min, ls.primes)
+        terms = coeffs[direct] * values
         total += complex(math.fsum(terms.real), math.fsum(terms.imag))
-        bound += float(np.abs(coeffs) @ bounds)
+        bound += float(np.abs(coeffs[direct]) @ bounds)
     return ProductResult(total, bound)
 
 
@@ -307,22 +309,23 @@ def rational_product(spec: RationalProductSpec, ls: LSeries) -> ProductResult:
     return _execute(plan, cut, spec.q, spec.a, spec.p_min, depth, ls)
 
 
-def _kappa_tail(ac: float, sigma: float, p_min: int, depth: int) -> float:
+def _kappa_tail(ac, sigma, p_min: int, depth: int):
     """sum_{f > L} ac^f * exp(_log_y_magnitude_majorant(f sigma, P, L)), in closed form.
 
     With f0 = L + 1 and r = ac P^-sigma each term is at most
     (2 + L P / (f0 sigma - 1)) r^f, so the tail is at most
     ac^f0 * exp(_log_y_magnitude_majorant(f0 sigma, P, L)) / (1 - r); evaluated
-    in log space.
+    in log space, elementwise over arrays ac and sigma.  Refused if any r >= 1.
     """
     f0 = depth + 1
-    log_r = math.log(ac) - sigma * math.log(p_min)
-    if log_r >= 0:
+    log_ac = np.log(ac)
+    log_r = log_ac - sigma * math.log(p_min)
+    if np.any(log_r >= 0):
         raise PrecisionUnreachableError("kappa series diverges: max(1, |c|) P^-Re(w) >= 1")
-    return math.exp(
+    return np.exp(
         _log_y_magnitude_majorant(f0 * sigma, p_min, depth)
-        + f0 * math.log(ac)
-        - math.log1p(-math.exp(log_r))
+        + f0 * log_ac
+        - np.log1p(-np.exp(log_r))
     )
 
 
@@ -334,28 +337,30 @@ def _necklace_plan(
     c_m = prod_l a_l^m_l and w_m = sum_l m_l (u_l s + v_l).  Each factor
     expands as sum_f (kappa_f(c_m)/f) y_p(f w_m), cut at f = L; the fixed bound
     is the kappa tail past the cut, using |kappa_f(c)/f| <= max(1, |c|)^f.
-    Equal exponents are merged; kappa is computed once per distinct c_m.
+
+    Compiled in array passes: the indices form one int array, c_m, w_m and the
+    kappa tails are array expressions over it, and kappa_f runs once per f
+    over every c_m.  The exponents f w_m are merged into the plan one f at a
+    time, so equal exponents share one entry.
     """
+    rows = list(indices)
+    idx = np.array(rows, dtype=np.int64).reshape(len(rows), len(terms))
+    mm = np.array([necklace_m(m) for m in rows], dtype=float)
+    c = np.ones(len(rows), dtype=complex)
+    w = np.zeros(len(rows), dtype=complex)
+    for (al, u, v), ml in zip(terms, idx.T):
+        c *= complex(al) ** ml  # complex: an integer a_l must not wrap in int64
+        w += ml * (u * s + v)
+    live = (mm != 0) & (c != 0)
+    mm, c, w = mm[live], c[live], w[live]
     plan: dict[complex, complex] = {}
-    fixed = 0.0
-    kappas: dict[complex, list[complex]] = {}
-    for m in indices:
-        mm = necklace_m(m)
-        if mm == 0:
-            continue
-        c = 1 + 0j
-        for (al, _, _), ml in zip(terms, m):
-            c *= al**ml
-        if c == 0:
-            continue
-        w = sum(ml * (u * s + v) for (_, u, v), ml in zip(terms, m))
-        if c not in kappas:
-            kappas[c] = [kappa(c, f) for f in range(1, depth + 1)]
-        for f, kf in enumerate(kappas[c], 1):
-            if kf != 0:
-                plan[f * w] = plan.get(f * w, 0) + mm * kf / f
-        fixed += abs(mm) * _kappa_tail(max(1.0, abs(c)), w.real, p_min, depth)
-    return plan, fixed
+    for f in range(1, depth + 1):
+        kf = kappa(c, f)
+        nz = kf != 0
+        for e, cf in zip((f * w[nz]).tolist(), (mm[nz] * kf[nz] / f).tolist()):
+            plan[e] = plan.get(e, 0) + cf
+    tails = _kappa_tail(np.maximum(1.0, np.abs(c)), w.real, p_min, depth)
+    return plan, float(np.abs(mm) @ tails)
 
 
 def multi_term_product(spec: MultiTermSpec, ls: LSeries) -> ProductResult:
@@ -427,7 +432,8 @@ def continuation_demo(
         (m1, m2) for m1 in range(1, n_max - 1) for m2 in range(1, (n_max - m1) // 2 + 1)
     )
     plan, fixed = _necklace_plan(_DEMO_TERMS, s, indices, 2, depth)
-    fixed += sum(abs(c) * 2.0 ** (-depth * e.real) for e, c in plan.items())  # P^(-L Re s_j)
+    exps = np.array(list(plan), dtype=complex)
+    fixed += float(np.abs(list(plan.values())) @ 2.0 ** (-depth * exps.real))  # P^(-L Re s_j)
     res = _execute(plan, fixed, 1, 1, 2, depth, ls)
     acc = log_total.value + res.log_value
     bnd = log_total.bound + res.total_bound + _demo_tail_majorant(s.real, n_max)

@@ -79,8 +79,8 @@ class EvalParams:
     target_eps: float = DEFAULT_TARGET_EPS
 
     def __post_init__(self):
-        if self.target_eps <= 0:
-            raise InvalidArgumentError("target_eps must be positive")
+        if not 0 < self.target_eps < math.inf:  # NaN fails too
+            raise InvalidArgumentError("target_eps must be positive and finite")
 
 
 # Euler-Maclaurin starting (N, M) and their ceilings.

@@ -29,6 +29,8 @@ class OracleResult:
 def _select_primes(
     spec: ProductSpec, primes: PrimeTable, prime_limit: int
 ) -> np.ndarray:
+    if prime_limit < 2:
+        raise InvalidArgumentError("prime_limit must be >= 2")
     if prime_limit > primes.limit:
         raise InvalidArgumentError("prime_limit exceeds the sieve limit")
     ps = primes.in_range(spec.p_min, prime_limit)

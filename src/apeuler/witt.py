@@ -8,7 +8,9 @@ big-integer arithmetic with an integrality assertion.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .arith import divisors, mobius
@@ -111,7 +113,18 @@ def beta_numeric(h: Polynomial) -> float:
 
 
 def necklace_m(m: Sequence[int]) -> int:
-    """The integer M(m_1,...,m_k) = (1/N) sum_{d | gcd(m)} mu(d) (N/d)! / prod (m_i/d)!."""
+    """The integer M(m_1,...,m_k) = (1/N) sum_{d | gcd(m)} mu(d) (N/d)! / prod (m_i/d)!.
+
+    Memoised per multi-index: the exact sum runs once per distinct tuple(m)
+    among the last 2^16 asked for, so the necklace plans of one product family,
+    which share most of their indices, pay for each M(m) once.  Entries must
+    be integers (numpy integers included); invalid input raises on every call.
+    """
+    return _necklace_m(tuple(map(operator.index, m)))
+
+
+@lru_cache(maxsize=1 << 16)
+def _necklace_m(m: tuple[int, ...]) -> int:
     if any(mi < 0 for mi in m):
         raise InvalidArgumentError("multi-index entries must be >= 0")
     n = sum(m)
@@ -139,7 +152,7 @@ def kappa(d: complex, f: int) -> complex:
     sum_{f | n} kappa_f(d) = d^n, which makes
     sum_k d^k x^k / k = sum_f (kappa_f(d)/f) * (-log(1 - x^f))
     an exact identity for |d x| < 1.  Reduces to d at f = 1 and to
-    d^f - d at prime f.
+    d^f - d at prime f.  A numpy array d gives kappa_f of every entry.
     """
     if f < 1:
         raise InvalidArgumentError("kappa requires f >= 1")

@@ -34,6 +34,14 @@ def test_sieve_rejects_tiny_limit():
         sieve(1)
 
 
+def test_sieve_refuses_a_limit_past_the_ceiling_before_allocating(monkeypatch):
+    assert arith.SIEVE_MAX >= 10**8
+    monkeypatch.setattr(arith, "np", None)  # any array work would raise AttributeError
+    for limit in (arith.SIEVE_MAX + 1, 10**10):
+        with pytest.raises(InvalidArgumentError):
+            sieve(limit)
+
+
 def test_sieve_against_trial_division():
     limit = 10**4
     assert list(sieve(limit).primes) == _trial_division_primes(limit)

@@ -150,7 +150,20 @@ def test_eps_env_must_be_positive(capsys, monkeypatch):
     assert run(["ap", "--s", "2"]) == 2
     monkeypatch.setenv("EULER_AP_EPS", "zzz")
     assert run(["ap", "--s", "2"]) == 2
+    # NaN used to switch the precision target off (this input then exited 3)
+    for raw in ("nan", "inf"):
+        monkeypatch.setenv("EULER_AP_EPS", raw)
+        assert run(["ap", "--s", "2,1e6"]) == 2
     capsys.readouterr()
+
+
+def test_oracle_limit_outside_the_sieve_range_exits_two(capsys, monkeypatch):
+    from apeuler import arith
+
+    assert run(["ap", "--s", "2", "--check-oracle", "-5", "--json"]) == 2
+    monkeypatch.setattr(arith, "np", None)  # refused before any sieve array exists
+    assert run(["oracle", "--s", "3", "--limit", "10000000000"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_from_json_round_trip(capsys, tmp_path):

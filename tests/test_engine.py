@@ -18,7 +18,7 @@ from apeuler import (
     rational_product,
     y_p,
 )
-from apeuler import PrecisionUnreachableError, character_group, engine
+from apeuler import PrecisionUnreachableError, character_group, engine, witt
 from apeuler.engine import (
     _demo_tail_majorant,
     _execute,
@@ -26,6 +26,7 @@ from apeuler.engine import (
     _log_y_magnitude_majorant,
     _necklace_plan,
 )
+from apeuler.witt import kappa, multi_indices, necklace_m
 
 
 def _ap_oracle(primes, s, q, a, p_min):
@@ -419,3 +420,90 @@ def test_continuation_demo_refuses_an_overflowing_bound(ls6):
 def test_kappa_tail_refuses_a_divergent_series():
     with pytest.raises(PrecisionUnreachableError):
         _kappa_tail(8.0, 1.5, 4, 8)
+
+
+def _reference_necklace_plan(terms, s, indices, p_min, depth):
+    """The per-index loop that the array compile of _necklace_plan replaced.
+
+    Kept in scalar math: kappa once per distinct c_m, the kappa tail written
+    out as (2 + L P / (f0 sigma - 1)) P^(-f0 sigma) ac^f0 / (1 - ac P^-sigma).
+    """
+    plan, fixed, kappas = {}, 0.0, {}
+    for m in indices:
+        mm = necklace_m(m)
+        if mm == 0:
+            continue
+        c = 1 + 0j
+        for (al, _, _), ml in zip(terms, m):
+            c *= al**ml
+        if c == 0:
+            continue
+        w = sum(ml * (u * s + v) for (_, u, v), ml in zip(terms, m))
+        if c not in kappas:
+            kappas[c] = [kappa(c, f) for f in range(1, depth + 1)]
+        for f, kf in enumerate(kappas[c], 1):
+            if kf != 0:
+                plan[f * w] = plan.get(f * w, 0) + mm * kf / f
+        ac, sigma, f0 = max(1.0, abs(c)), w.real, depth + 1
+        fixed += abs(mm) * math.exp(
+            math.log(2 + depth * p_min / (f0 * sigma - 1))
+            - f0 * sigma * math.log(p_min)
+            + f0 * math.log(ac)
+            - math.log1p(-math.exp(math.log(ac) - sigma * math.log(p_min)))
+        )
+    return plan, fixed
+
+
+def _demo_indices(n_max):
+    return [(m1, m2) for m1 in range(1, n_max - 1) for m2 in range(1, (n_max - m1) // 2 + 1)]
+
+
+def _multi_terms(k):
+    # the phased coefficients and exponents u s + v of the benchmark's multi jobs
+    coeffs = (cmath.rect(0.9, 0.7), cmath.rect(0.6, 2.9), cmath.rect(0.4, 4.4))
+    return tuple(zip(coeffs, (1.0, 2.0, 3.0), (0.0, -1.0, -1.0)))[:k]
+
+
+def _assert_same_plan(new, ref):
+    (plan, fixed), (ref_plan, ref_fixed) = new, ref
+    assert set(plan) == set(ref_plan)
+    scale = max(abs(c) for c in ref_plan.values())
+    assert max(abs(plan[e] - ref_plan[e]) for e in ref_plan) <= 4 * 2**-52 * scale
+    assert fixed == pytest.approx(ref_fixed, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n_max", [30, 60])
+@pytest.mark.parametrize("s", [2 + 0j, 1.5 + 2j])
+def test_necklace_plan_matches_the_per_index_loop_demo(s, n_max):
+    args = (engine._DEMO_TERMS, s, _demo_indices(n_max), 2, 10)
+    _assert_same_plan(_necklace_plan(*args), _reference_necklace_plan(*args))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_necklace_plan_matches_the_per_index_loop_multi(ls6, k):
+    args = (_multi_terms(k), 2 + 0j, list(multi_indices(k, 8)), 7, 8)
+    new, ref = _necklace_plan(*args), _reference_necklace_plan(*args)
+    _assert_same_plan(new, ref)
+    a, b = (_execute(plan, fixed, 5, 2, 7, 8, ls6) for plan, fixed in (new, ref))
+    assert abs(a.log_value - b.log_value) <= a.total_bound + b.total_bound
+
+
+def test_necklace_plan_runs_kappa_once_per_f_and_m_once_per_index(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "kappa", lambda c, f: calls.append(f) or kappa(c, f))
+    indices = _demo_indices(60)
+    witt._necklace_m.cache_clear()
+    for _ in range(2):
+        calls.clear()
+        _necklace_plan(engine._DEMO_TERMS, 1.5 + 2j, iter(indices), 2, 10)
+        assert calls == list(range(1, 11))  # 20 per compile with kappa per distinct c_m
+    # every miss runs the exact M(m) sum; the per-index loop ran it 2 * 870 times
+    assert witt._necklace_m.cache_info().misses == len(set(indices)) == 870
+
+
+def test_kappa_tail_takes_arrays():
+    ac, sigma = np.array([1.0, 2.5, 1.0]), np.array([2.0, 1.5, 3.5])
+    tails = _kappa_tail(ac, sigma, 7, 8)
+    assert tails.tolist() == [_kappa_tail(x, y, 7, 8) for x, y in zip(ac, sigma)]
+    with pytest.raises(PrecisionUnreachableError):
+        _kappa_tail(np.array([1.0, 8.0]), np.array([2.0, 1.5]), 4, 8)

@@ -66,6 +66,12 @@ def test_hurwitz_domain_errors():
         hurwitz_zeta(2.0, 0.0)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_eval_params_refuse_a_target_that_is_not_positive_and_finite(eps):
+    with pytest.raises(InvalidArgumentError):
+        EvalParams(target_eps=eps)
+
+
 def test_bound_honesty_doubled_parameters():
     for s in GRID_S:
         for x in (1.0, 0.5, 0.25):

@@ -33,6 +33,13 @@ def test_limit_above_sieve_rejected(primes_1e6):
         oracle_log_product(APProductSpec(s=2 + 0j), primes_1e6, 10**7)
 
 
+@pytest.mark.parametrize("limit", [-5, 0, 1])
+def test_limit_below_two_rejected(primes_1e6, limit):
+    # a negative limit used to give a negative tail bound
+    with pytest.raises(InvalidArgumentError):
+        oracle_log_product(APProductSpec(s=2 + 0j), primes_1e6, limit)
+
+
 def test_factor_touching_zero_rejected(primes_1e6):
     # 1 - 2 * p^-1 vanishes at p = 2
     spec = MultiTermSpec(terms=((2 + 0j, 0.5, 0.0),), s=2 + 0j, p_min=2, depth=4)

@@ -8,6 +8,7 @@ prime-by-prime sum of log(1 - p^-s) at 30 digits.
 import math
 from math import comb
 
+import numpy as np
 import pytest
 
 from apeuler import APProductSpec, ap_product, continuation_demo, engine
@@ -74,7 +75,7 @@ BELOW_CUT = [(4, 3, 2, 5.4 + 0j), (5, 2, 7, 6.3 + 0j)]
 
 @pytest.mark.parametrize("q,a,p_min,s", DIRECT)
 def test_direct_sum_within_bound_of_mpmath(ls6, primes_1e6, q, a, p_min, s):
-    assert engine._direct_cut(s.real, p_min, ls6.primes.limit) is not None
+    assert engine._direct_cut(np.array([s.real]), p_min, ls6.primes.limit)[0] > 0
     res, ref, tail = _one_term_against_mpmath(ls6, primes_1e6, q, a, p_min, s)
     assert abs(res.log_value - ref) <= res.total_bound + tail
 
@@ -85,6 +86,6 @@ def test_direct_sum_within_bound_of_mpmath(ls6, primes_1e6, q, a, p_min, s):
 )
 @pytest.mark.parametrize("q,a,p_min,s", BELOW_CUT)
 def test_y_p_just_below_the_cut_within_bound_of_mpmath(ls6, primes_1e6, q, a, p_min, s):
-    assert engine._direct_cut(s.real, p_min, ls6.primes.limit) is None
+    assert engine._direct_cut(np.array([s.real]), p_min, ls6.primes.limit)[0] == 0
     res, ref, tail = _one_term_against_mpmath(ls6, primes_1e6, q, a, p_min, s)
     assert abs(res.log_value - ref) <= res.total_bound + tail

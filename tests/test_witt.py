@@ -188,6 +188,28 @@ def test_kappa_small_cases():
         kappa(2 + 0j, 0)
 
 
+@pytest.mark.parametrize("f", range(1, 13))
+def test_kappa_of_an_array_is_the_scalar_kappa_elementwise(f):
+    rng = np.random.default_rng(f)
+    d = np.concatenate([rng.normal(size=40) + 1j * rng.normal(size=40), [1, -1, 0, 2.5, 0.5j]])
+    got = kappa(d, f)
+    want = [kappa(complex(x), f) for x in d]
+    # numpy may square complex arrays with a fused multiply-add, where Python
+    # rounds each product: the two agree to rounding of the largest power
+    scale = sum(np.abs(d) ** e for e in divisors(f))
+    assert all(abs(g - w) <= 2 * 2**-52 * s for g, w, s in zip(got, want, scale))
+    assert kappa(np.array([1.0, -1.0, 0.0]), f).tolist() == [kappa(x, f) for x in (1.0, -1.0, 0.0)]
+
+
+def test_necklace_m_accepts_any_integer_sequence():
+    assert necklace_m([2, 1]) == necklace_m((2, 1)) == necklace_m(np.array([2, 1])) == 1
+    with pytest.raises(TypeError):
+        necklace_m((1.5, 1))
+    for _ in range(2):  # refused on every call, never cached
+        with pytest.raises(InvalidArgumentError):
+            necklace_m([0, 0])
+
+
 def test_kappa_divisor_sum_identity():
     for d in (2 + 0j, -1 + 0j, 1 + 1j):
         for n in range(1, 13):
