@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .arith import divisors, mobius
@@ -112,18 +111,30 @@ def beta_numeric(h: Polynomial) -> float:
     return float(max(abs(r) for r in inv)) if len(inv) else 0.0
 
 
+# M(m) per multi-index.  A plain dict: a bounded functools.lru_cache keeps
+# about 2.5 times the memory per entry.
+_NECKLACE_MEMO: dict[tuple[int, ...], int] = {}
+_NECKLACE_MEMO_MAX = 1 << 16
+
+
 def necklace_m(m: Sequence[int]) -> int:
     """The integer M(m_1,...,m_k) = (1/N) sum_{d | gcd(m)} mu(d) (N/d)! / prod (m_i/d)!.
 
-    Memoised per multi-index: the exact sum runs once per distinct tuple(m)
-    among the last 2^16 asked for, so the necklace plans of one product family,
-    which share most of their indices, pay for each M(m) once.  Entries must
-    be integers (numpy integers included); invalid input raises on every call.
+    Memoised per multi-index: the exact sum runs once per distinct tuple(m),
+    so the necklace plans of one product family, which share most of their
+    indices, pay for each M(m) once.  The memo is emptied when it reaches
+    _NECKLACE_MEMO_MAX entries.  Entries must be integers (numpy integers
+    included); invalid input raises on every call and is never stored.
     """
-    return _necklace_m(tuple(map(operator.index, m)))
+    key = tuple(map(operator.index, m))
+    value = _NECKLACE_MEMO.get(key)
+    if value is None:
+        if len(_NECKLACE_MEMO) >= _NECKLACE_MEMO_MAX:
+            _NECKLACE_MEMO.clear()
+        value = _NECKLACE_MEMO[key] = _necklace_m(key)
+    return value
 
 
-@lru_cache(maxsize=1 << 16)
 def _necklace_m(m: tuple[int, ...]) -> int:
     if any(mi < 0 for mi in m):
         raise InvalidArgumentError("multi-index entries must be >= 0")

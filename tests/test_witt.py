@@ -19,6 +19,7 @@ from apeuler import (
     witt_b,
 )
 from apeuler.arith import divisors
+from apeuler import witt
 from apeuler.witt import beta_numeric
 
 
@@ -208,6 +209,13 @@ def test_necklace_m_accepts_any_integer_sequence():
     for _ in range(2):  # refused on every call, never cached
         with pytest.raises(InvalidArgumentError):
             necklace_m([0, 0])
+
+
+def test_necklace_memo_is_emptied_when_full(monkeypatch):
+    monkeypatch.setattr(witt, "_NECKLACE_MEMO", {})
+    monkeypatch.setattr(witt, "_NECKLACE_MEMO_MAX", 2)
+    assert [necklace_m(m) for m in ((1, 1), (2, 1), (1, 1, 1), (2, 1))] == [1, 1, 2, 1]
+    assert witt._NECKLACE_MEMO == {(1, 1, 1): 2, (2, 1): 1}
 
 
 def test_kappa_divisor_sum_identity():
