@@ -343,11 +343,14 @@ def _necklace_plan(
     over every c_m.  The exponents f w_m are merged into the plan one f at a
     time, so equal exponents share one entry.
     """
-    rows = list(indices)
-    idx = np.array(rows, dtype=np.int64).reshape(len(rows), len(terms))
-    mm = np.array([necklace_m(m) for m in rows], dtype=float)
-    c = np.ones(len(rows), dtype=complex)
-    w = np.zeros(len(rows), dtype=complex)
+    flat, mm = [], []  # streamed: no list of index tuples is held
+    for m in indices:
+        flat += m
+        mm.append(necklace_m(m))
+    idx = np.array(flat, dtype=np.int64).reshape(len(mm), len(terms))
+    mm = np.array(mm, dtype=float)
+    c = np.ones(len(mm), dtype=complex)
+    w = np.zeros(len(mm), dtype=complex)
     for (al, u, v), ml in zip(terms, idx.T):
         c *= complex(al) ** ml  # complex: an integer a_l must not wrap in int64
         w += ml * (u * s + v)
