@@ -166,7 +166,9 @@ class ProductResult:
         return (r * math.exp(-self.total_bound), r * math.exp(self.total_bound))
 
 
-def _log_y_magnitude_majorant(sigma, p_min: int, depth: int):
+def _log_y_magnitude_majorant(
+    sigma: float | np.ndarray, p_min: int, depth: int
+) -> float | np.ndarray:
     """Log of a certified bound on |y_p|: P^-sigma (2 + L P / (sigma - 1)), elementwise in sigma.
 
     That is 2 P^-sigma + L P^(1-sigma) / (sigma - 1): the n = P term stays out of
@@ -309,7 +311,9 @@ def rational_product(spec: RationalProductSpec, ls: LSeries) -> ProductResult:
     return _execute(plan, cut, spec.q, spec.a, spec.p_min, depth, ls)
 
 
-def _kappa_tail(ac, sigma, p_min: int, depth: int):
+def _kappa_tail(
+    ac: float | np.ndarray, sigma: float | np.ndarray, p_min: int, depth: int
+) -> float | np.ndarray:
     """sum_{f > L} ac^f * exp(_log_y_magnitude_majorant(f sigma, P, L)), in closed form.
 
     With f0 = L + 1 and r = ac P^-sigma each term is at most
