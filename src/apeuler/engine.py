@@ -271,11 +271,19 @@ def _execute(
     Each exponent is evaluated once: one _direct_cut call routes them all, to
     _direct_sums where the prime cut fits the cap and the prime table, to y_p
     (in plan order) where it does not.
+
+    y_p's bound leaves out its own rounding, about u |c_j| for each routed
+    exponent.  A plan whose floor u sum |c_j| over those exponents passes the
+    total bound by more than u is refused with PrecisionUnreachableError: its
+    coefficients amplify rounding past anything its bound shows.  The one u
+    let through is the floor of a plain one-term plan, which belongs to y_p:
+    its log of an L value near 1 loses about u.
     """
     exps = np.array(list(plan), dtype=complex)
     coeffs = np.array(list(plan.values()), dtype=complex)
     cuts = _direct_cut(exps.real, p_min, ls.primes.limit)
     direct = cuts > 0
+    floor = _U * float(np.abs(coeffs[~direct]).sum())
     total = 0j
     bound = fixed
     for s, c in zip(exps[~direct].tolist(), coeffs[~direct].tolist()):
@@ -287,6 +295,10 @@ def _execute(
         terms = coeffs[direct] * values
         total += complex(math.fsum(terms.real), math.fsum(terms.imag))
         bound += float(np.abs(coeffs[direct]) @ bounds)
+    if floor > bound + _U:
+        raise PrecisionUnreachableError(
+            f"rounding floor {floor:.3g} of the plan's coefficients exceeds its bound {bound:.3g}"
+        )
     return ProductResult(total, bound)
 
 

@@ -3,13 +3,15 @@
 Each factor satisfies |term(p)| < 1/2 under the engine preconditions, so the
 per-factor principal logs are unambiguous and their sum is the product's log.
 The omitted primes above ``prime_limit`` are covered by an integral-comparison
-tail bound.
+tail bound.  Both paths read the prime table in blocks of _BLOCK primes, so
+the memory they use beyond the table does not grow with the limit.
 """
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,6 +21,9 @@ from .errors import InvalidArgumentError, InvalidSpecError
 
 ProductSpec = APProductSpec | RationalProductSpec | MultiTermSpec
 
+# Table primes read per block by both oracle paths.
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -26,39 +31,70 @@ class OracleResult:
     tail_bound: float
 
 
-def _select_primes(
-    spec: ProductSpec, primes: PrimeTable, prime_limit: int
-) -> np.ndarray:
+def _terms(spec: ProductSpec, ps: np.ndarray) -> np.ndarray:
+    """term(p) for each p in ps (floats), in a fresh array the caller may overwrite."""
+    if isinstance(spec, APProductSpec):
+        t = -complex(spec.s) * np.log(ps)
+        return np.exp(t, out=t)
+    if isinstance(spec, RationalProductSpec):
+        x = 1.0 / ps
+        num = np.zeros_like(ps, dtype=complex)
+        for c in reversed(spec.f.coeffs):
+            num *= x
+            num += c
+        den = np.zeros_like(ps, dtype=complex)
+        for c in reversed(spec.g.coeffs):
+            den *= x
+            den += c
+        num /= den
+        return num
+    if isinstance(spec, MultiTermSpec):
+        s = complex(spec.s)
+        logp = np.log(ps)
+        acc = np.zeros_like(ps, dtype=complex)
+        z = np.empty_like(acc)
+        for al, u, v in spec.terms:
+            np.multiply(-(u * s + v), logp, out=z)
+            np.exp(z, out=z)
+            z *= al
+            acc += z
+        return acc
+    raise InvalidArgumentError(f"unsupported spec type {type(spec).__name__}")
+
+
+def _factors(t: np.ndarray) -> np.ndarray:
+    """1 - term(p), written over the terms once every |term(p)| < 1 is checked."""
+    if float(np.max(np.abs(t))) >= 1.0:
+        raise InvalidSpecError("a factor 1 - term(p) touches or crosses 0")
+    return np.subtract(1.0, t, out=t)
+
+
+def _blocked(
+    spec: ProductSpec,
+    primes: PrimeTable,
+    prime_limit: int,
+    block_log: Callable[[np.ndarray], complex],
+) -> OracleResult:
+    """Sum of block_log(1 - term(p)) over blocks of p = a mod q, P <= p <= prime_limit.
+
+    The table is read _BLOCK primes at a time and each block's factors are
+    formed in place, so every temporary is O(_BLOCK) whatever the limit.  No
+    name holds a block's arrays past its iteration, so they are freed before
+    the next block's are formed.
+    """
     if prime_limit < 2:
         raise InvalidArgumentError("prime_limit must be >= 2")
     if prime_limit > primes.limit:
         raise InvalidArgumentError("prime_limit exceeds the sieve limit")
     ps = primes.in_range(spec.p_min, prime_limit)
-    if spec.q > 1:
-        ps = ps[ps % spec.q == spec.a % spec.q]
-    return ps.astype(float)
-
-
-def _terms(spec: ProductSpec, ps: np.ndarray) -> np.ndarray:
-    logp = np.log(ps)
-    if isinstance(spec, APProductSpec):
-        return np.exp(-complex(spec.s) * logp)
-    if isinstance(spec, RationalProductSpec):
-        x = 1.0 / ps
-        num = np.zeros_like(ps, dtype=complex)
-        for c in reversed(spec.f.coeffs):
-            num = num * x + c
-        den = np.zeros_like(ps, dtype=complex)
-        for c in reversed(spec.g.coeffs):
-            den = den * x + c
-        return num / den
-    if isinstance(spec, MultiTermSpec):
-        s = complex(spec.s)
-        acc = np.zeros_like(ps, dtype=complex)
-        for al, u, v in spec.terms:
-            acc += al * np.exp(-(u * s + v) * logp)
-        return acc
-    raise InvalidArgumentError(f"unsupported spec type {type(spec).__name__}")
+    log_value = 0j
+    for lo in range(0, len(ps), _BLOCK):
+        block = ps[lo : lo + _BLOCK]
+        if spec.q > 1:
+            block = block[block % spec.q == spec.a % spec.q]
+        if len(block):
+            log_value += block_log(_factors(_terms(spec, block.astype(float))))
+    return OracleResult(log_value, _tail_bound(spec, prime_limit))
 
 
 def _tail_bound(spec: ProductSpec, prime_limit: int) -> float:
@@ -84,32 +120,15 @@ def oracle_log_product(
     spec: ProductSpec, primes: PrimeTable, prime_limit: int
 ) -> OracleResult:
     """Direct sum of log(1 - term(p)) over p = a mod q, P <= p <= prime_limit."""
-    ps = _select_primes(spec, primes, prime_limit)
-    if len(ps) == 0:
-        return OracleResult(0j, _tail_bound(spec, prime_limit))
-    t = _terms(spec, ps)
-    if float(np.max(np.abs(t))) >= 1.0:
-        raise InvalidSpecError("a factor 1 - term(p) touches or crosses 0")
-    log_value = complex(np.sum(np.log(1.0 - t)))
-    return OracleResult(log_value, _tail_bound(spec, prime_limit))
+    return _blocked(spec, primes, prime_limit, lambda f: complex(np.sum(np.log(f, out=f))))
 
 
 def oracle_log_product_direct(
     spec: ProductSpec, primes: PrimeTable, prime_limit: int
 ) -> OracleResult:
-    """Second, independent path: multiply the factors, log once per block.
+    """Second, independent path: multiply each block's factors, log once per block.
 
     Blocks keep the running product away from under/overflow; used to
     cross-check the log-sum path.
     """
-    ps = _select_primes(spec, primes, prime_limit)
-    if len(ps) == 0:
-        return OracleResult(0j, _tail_bound(spec, prime_limit))
-    t = _terms(spec, ps)
-    if float(np.max(np.abs(t))) >= 1.0:
-        raise InvalidSpecError("a factor 1 - term(p) touches or crosses 0")
-    acc = 0j
-    block = 1 << 14
-    for lo in range(0, len(t), block):
-        acc += np.log(complex(np.prod(1.0 - t[lo : lo + block])))
-    return OracleResult(acc, _tail_bound(spec, prime_limit))
+    return _blocked(spec, primes, prime_limit, lambda f: cmath.log(complex(np.prod(f))))

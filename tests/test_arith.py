@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -49,12 +50,7 @@ def test_sieve_against_trial_division():
 
 def test_sieve_count_1e6(primes_1e6):
     # independent one-shot sieve, different code path from the segmented one
-    flags = np.ones(10**6 + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, 1001):
-        if flags[p]:
-            flags[p * p :: p] = False
-    assert len(primes_1e6) == int(flags.sum()) == 78498
+    assert len(primes_1e6) == int(_eratosthenes_flags(10**6).sum()) == 78498
 
 
 def test_sieve_segment_boundaries():
@@ -62,12 +58,63 @@ def test_sieve_segment_boundaries():
     limit = (1 << 20) + 1000
     seg = sieve(limit).primes
     assert len(seg) == len(set(seg.tolist()))
+    assert np.array_equal(seg, np.flatnonzero(_eratosthenes_flags(limit)))
+
+
+def _concatenated_sieve(limit, segment=1 << 20):
+    """The earlier sieve: every integer flagged, one int64 chunk per segment, joined at the end."""
+    base = np.flatnonzero(_eratosthenes_flags(max(math.isqrt(limit), 2)))
+    chunks = []
+    for lo in range(2, limit + 1, segment):
+        hi = min(lo + segment, limit + 1)
+        seg = np.ones(hi - lo, dtype=bool)
+        for p in base.tolist():
+            start = max(p * p, ((lo + p - 1) // p) * p)
+            if start < hi:
+                seg[start - lo :: p] = False
+        chunks.append(lo + np.flatnonzero(seg).astype(np.int64))
+    return np.concatenate(chunks)
+
+
+def _eratosthenes_flags(limit):
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    assert np.array_equal(seg, np.flatnonzero(flags))
+    return flags
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [2, 3, 4, 9, 2**21 - 1, 2**21, 2**21 + 1, 2**21 + 2, 3 * 2**20 + 1, 10**7],
+)
+def test_odd_only_sieve_matches_the_concatenated_one(limit):
+    # segments of 2^20 odd numbers end at the integers 2^21 k
+    got = sieve(limit).primes
+    want = _concatenated_sieve(limit)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def test_prime_count_majorant_holds_up_to_1e6(primes_1e6):
+    # pi(p_k) = k at the k-th prime, where the count jumps; it must stay below the table size
+    caps = [arith._prime_count_majorant(p) for p in primes_1e6.primes.tolist()]
+    assert all(cap > k for k, cap in enumerate(caps, start=1))
+    assert arith._prime_count_majorant(10**6) <= 1.01 * 78498
+
+
+def test_sieve_1e8_holds_only_the_table():
+    tracemalloc.start()
+    try:
+        primes = sieve(10**8).primes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 5_761_455
+    assert primes[-1] == 99_999_989
+    # the unused tail of the table's buffer counts too: the majorant is within 0.8% at 10^8
+    assert peak <= primes.nbytes + 4 * 2**20
 
 
 def test_prime_table_range_helpers(primes_1e6):

@@ -145,6 +145,13 @@ def test_demo_overflowing_bound_exits_three(capsys):
     capsys.readouterr()
 
 
+def test_plan_past_its_rounding_floor_exits_three(capsys):
+    # used to end in an OverflowError traceback, exit 1
+    assert run(["multi", "--terms=1000,0,1,0", "--s", "2", "--P", "2000", "--L", "60", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rounding floor" in captured.err
+
+
 def test_eps_env_must_be_positive(capsys, monkeypatch):
     monkeypatch.setenv("EULER_AP_EPS", "-1")
     assert run(["ap", "--s", "2"]) == 2

@@ -509,3 +509,17 @@ def test_kappa_tail_takes_arrays():
     assert tails.tolist() == pytest.approx([_kappa_tail(x, y, 7, 8) for x, y in zip(ac, sigma)], rel=1e-14)
     with pytest.raises(PrecisionUnreachableError):
         _kappa_tail(np.array([1.0, 8.0]), np.array([2.0, 1.5]), 4, 8)
+
+
+def test_plan_whose_rounding_floor_passes_its_bound_is_refused(ls6):
+    # kappa_f(1000)/f reaches 1.7e178: the result used to be 1.01e16 +- 18.3, where
+    # the product over 2000 <= p <= 10^6 has log -0.058
+    spec = MultiTermSpec(terms=((1000 + 0j, 1.0, 0.0),), s=2 + 0j, p_min=2000, depth=60)
+    with pytest.raises(PrecisionUnreachableError, match="rounding floor"):
+        multi_term_product(spec, ls6)
+
+
+def test_one_term_plan_below_the_unit_floor_still_evaluates(ls6):
+    # bound 3.2e-17 < u: the one u of a plain y_p term is let through
+    res = ap_product(APProductSpec(s=3 + 0j, q=4, a=3, p_min=50, depth=8), ls6)
+    assert res.total_bound < engine._U

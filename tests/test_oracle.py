@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from apeuler import (
@@ -12,6 +14,7 @@ from apeuler import (
     oracle_log_product,
     oracle_log_product_direct,
 )
+from apeuler import oracle
 
 
 def test_zeta_inverse_within_tail(primes_1e6):
@@ -72,6 +75,7 @@ def test_doubling_limit_stays_within_tail(primes_1e6, spec):
     [
         APProductSpec(s=2 + 0j),
         APProductSpec(s=1.5 + 1j, q=4, a=1, p_min=5),
+        APProductSpec(s=1.2 - 0.5j, q=30, a=7, p_min=7),
         RationalProductSpec(
             f=Polynomial.of([0, 0, 0, 1]), g=Polynomial.of([1, 1]), q=4, a=3, p_min=5
         ),
@@ -95,3 +99,73 @@ def test_residue_filter(primes_1e6):
         for p in (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83)
     )
     assert abs(orc.log_value - direct) < 1e-15
+
+
+def _whole_array_log_product(spec, primes, prime_limit):
+    """The earlier oracle: every selected prime's term at once, one np.sum of the logs."""
+    ps = primes.in_range(spec.p_min, prime_limit)
+    if spec.q > 1:
+        ps = ps[ps % spec.q == spec.a % spec.q]
+    ps = ps.astype(float)
+    logp = np.log(ps)
+    if isinstance(spec, APProductSpec):
+        t = np.exp(-complex(spec.s) * logp)
+    elif isinstance(spec, RationalProductSpec):
+        x = 1.0 / ps
+        num = np.zeros_like(ps, dtype=complex)
+        for c in reversed(spec.f.coeffs):
+            num = num * x + c
+        den = np.zeros_like(ps, dtype=complex)
+        for c in reversed(spec.g.coeffs):
+            den = den * x + c
+        t = num / den
+    else:
+        t = np.zeros_like(ps, dtype=complex)
+        for al, u, v in spec.terms:
+            t += al * np.exp(-(u * complex(spec.s) + v) * logp)
+    return complex(np.sum(np.log(1.0 - t)))
+
+
+_BLOCKED_SPECS = [
+    APProductSpec(s=2 + 0j),
+    APProductSpec(s=1.5 + 1j, q=4, a=3, p_min=5),
+    APProductSpec(s=1.2 - 0.5j, q=30, a=7, p_min=7),
+    RationalProductSpec(f=Polynomial.of([0, 0, 2]), g=Polynomial.of([1, 0.5j]), p_min=5),
+    RationalProductSpec(f=Polynomial.of([0, 0, 0, 1]), g=Polynomial.of([1, 1]), q=4, a=3, p_min=5),
+    MultiTermSpec(terms=((-1 + 0j, 1.0, 0.0), (1 + 0j, 2.0, -1.0)), s=2 + 0j, p_min=10),
+    MultiTermSpec(terms=((0.5j, 1.0, 0.5), (2 + 0j, 2.0, 0.0)), s=1.5 + 2j, q=30, a=11, p_min=11),
+]
+
+
+@pytest.mark.parametrize("spec", _BLOCKED_SPECS)
+@pytest.mark.parametrize("limit", [10**5, 2_000_003, 10**7])
+def test_blocked_sum_matches_the_whole_array_formula(primes_1e7, spec, limit):
+    # 10^5 is inside the first block of 2^16 table primes; 2,000,003 and 10^7 end mid-block
+    assert len(primes_1e7.in_range(spec.p_min, limit)) % oracle._BLOCK
+    want = _whole_array_log_product(spec, primes_1e7, limit)
+    got = oracle_log_product(spec, primes_1e7, limit).log_value
+    assert abs(got - want) <= 1e-14
+
+
+@pytest.mark.parametrize("spec", _BLOCKED_SPECS)
+def test_oracle_holds_one_block_at_a_time(primes_1e7, spec):
+    # the whole-array formula peaked at 5.7-45.8 MB beyond the table for these specs
+    tracemalloc.start()
+    try:
+        oracle_log_product(spec, primes_1e7, 10**7)
+        oracle_log_product_direct(spec, primes_1e7, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("path", [oracle_log_product, oracle_log_product_direct])
+def test_factor_crossing_zero_in_a_late_block_rejected(primes_1e7, path):
+    # G(1/p) = 1 - c/p nearly vanishes at the prime p = 5,000,011, the 348,514th:
+    # there |term(p)| = 1/(p (p - c)) is about 2, and at most 1e-7 at every other prime
+    c = 5_000_011 - 1e-7
+    spec = RationalProductSpec(f=Polynomial.of([0, 0, 1]), g=Polynomial.of([1, -c]), p_min=2)
+    assert path(spec, primes_1e7, 4_999_999).log_value != 0
+    with pytest.raises(InvalidSpecError, match="touches or crosses 0"):
+        path(spec, primes_1e7, 10**7)
