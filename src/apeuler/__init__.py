@@ -27,7 +27,7 @@ from .errors import (
     PrecisionUnreachableError,
 )
 from .lseries import EvalParams, LSeries, ValueWithBound, dirichlet_l, hurwitz_zeta
-from .oracle import OracleResult, oracle_log_product, oracle_log_product_direct
+from .oracle import OracleResult, oracle_log_product
 from .witt import (
     Polynomial,
     beta_bound,
@@ -72,7 +72,6 @@ __all__ = [
     "multi_term_product",
     "necklace_m",
     "oracle_log_product",
-    "oracle_log_product_direct",
     "power_sums",
     "rational_product",
     "sieve",

@@ -15,13 +15,16 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .arith import divisors, euler_phi, factorize, mobius
 from .errors import InvalidArgumentError
+
+# Largest phi(q) * q accepted.  An ap evaluation mod q peaks near 75 bytes per
+# table entry, so the cap allows about 2.5 GB and admits every q up to about 5,800.
+TABLE_MAX = 1 << 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,17 +87,13 @@ class CharacterGroup:
             self._unsieve[key] = out
         return out
 
-    @property
-    def principal(self) -> "DirichletCharacter":
-        return self.characters[0]
-
     def __len__(self) -> int:
         return len(self.table)
 
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """Row ``index`` of a character group's tables."""
+    """A handle on row ``index`` of a character group's tables, as L-evaluation takes it."""
 
     group: CharacterGroup = field(repr=False)
     index: int
@@ -104,17 +103,8 @@ class DirichletCharacter:
         return self.group.modulus
 
     @property
-    def exponents(self) -> np.ndarray:
-        return self.group.table[self.index]
-
-    @property
     def values(self) -> np.ndarray:
         return self.group.values[self.index]
-
-    def angle(self, n: int) -> Fraction | None:
-        """chi(n) as a reduced fraction of a full turn, or None off the units."""
-        k = int(self.exponents[n % self.modulus])
-        return None if k < 0 else Fraction(k, self.group.exponent)
 
     @cached_property
     def _value_list(self) -> list[complex]:
@@ -128,12 +118,8 @@ class DirichletCharacter:
     def order(self) -> int:
         """Smallest k >= 1 with chi^k principal."""
         lam = self.group.exponent
-        exps = self.exponents
+        exps = self.group.table[self.index]
         return lam // math.gcd(lam, *exps[exps >= 0].tolist())
-
-    @property
-    def is_principal(self) -> bool:
-        return self.order == 1
 
     def __pow__(self, d: int) -> "DirichletCharacter":
         if d < 0:
@@ -182,6 +168,12 @@ def character_group(q: int) -> CharacterGroup:
     """Build the character group mod q through the structure of (Z/qZ)*."""
     if q < 1:
         raise InvalidArgumentError("modulus must be >= 1")
+    phi = euler_phi(q)
+    if phi * q > TABLE_MAX:
+        raise InvalidArgumentError(
+            f"modulus {q} needs a character table of phi(q) * q = {phi * q} entries, "
+            f"above the largest supported, {TABLE_MAX}"
+        )
     components = []  # (q_i, orders, dlog table)
     for p, e in factorize(q):
         qi = p**e
@@ -204,7 +196,6 @@ def character_group(q: int) -> CharacterGroup:
     table = np.full((len(slots), q), -1, dtype=np.int64)
     table[:, units] = (slots * scale) @ dlogs[units].T % lam
 
-    grp = CharacterGroup(q, lam, table, slots, slot_orders)
-    assert len(grp) == euler_phi(q)
-    assert grp.principal.is_principal
-    return grp
+    assert len(table) == phi
+    assert not table[0, units].any()  # row 0 is the principal character
+    return CharacterGroup(q, lam, table, slots, slot_orders)

@@ -321,12 +321,13 @@ class LSeries:
             )
         lval = self.dirichlet_l(s, chi)
         factor = 1 + 0j
-        for p in self.primes.below(p0):
-            factor *= 1 - chi(int(p)) * cmath.exp(-s * math.log(int(p)))
-        main = ValueWithBound(lval.value * factor, lval.bound * abs(factor)).log()
         add_back = 0j
-        for p in self.primes.in_range(p_min, p0 - 1):
-            add_back += -cmath.log(1 - chi(int(p)) * cmath.exp(-s * math.log(int(p))))
+        for p in self.primes.below(p0).tolist():
+            t = 1 - chi(p) * cmath.exp(-s * math.log(p))
+            factor *= t
+            if p >= p_min:
+                add_back += -cmath.log(t)
+        main = ValueWithBound(lval.value * factor, lval.bound * abs(factor)).log()
         out = ValueWithBound(main.value + add_back, main.bound)
         self._logl_cache[key] = out
         return out

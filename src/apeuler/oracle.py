@@ -3,15 +3,13 @@
 Each factor satisfies |term(p)| < 1/2 under the engine preconditions, so the
 per-factor principal logs are unambiguous and their sum is the product's log.
 The omitted primes above ``prime_limit`` are covered by an integral-comparison
-tail bound.  Both paths read the prime table in blocks of _BLOCK primes, so
-the memory they use beyond the table does not grow with the limit.
+tail bound.  The table is read in blocks of _BLOCK primes, so the memory
+used beyond the table does not grow with the limit.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,7 +19,7 @@ from .errors import InvalidArgumentError, InvalidSpecError
 
 ProductSpec = APProductSpec | RationalProductSpec | MultiTermSpec
 
-# Table primes read per block by both oracle paths.
+# Table primes read per block.
 _BLOCK = 1 << 16
 
 
@@ -62,39 +60,12 @@ def _terms(spec: ProductSpec, ps: np.ndarray) -> np.ndarray:
     raise InvalidArgumentError(f"unsupported spec type {type(spec).__name__}")
 
 
-def _factors(t: np.ndarray) -> np.ndarray:
-    """1 - term(p), written over the terms once every |term(p)| < 1 is checked."""
+def _log_factors(t: np.ndarray) -> np.ndarray:
+    """log(1 - term(p)), written over the terms once every |term(p)| < 1 is checked."""
     if float(np.max(np.abs(t))) >= 1.0:
         raise InvalidSpecError("a factor 1 - term(p) touches or crosses 0")
-    return np.subtract(1.0, t, out=t)
-
-
-def _blocked(
-    spec: ProductSpec,
-    primes: PrimeTable,
-    prime_limit: int,
-    block_log: Callable[[np.ndarray], complex],
-) -> OracleResult:
-    """Sum of block_log(1 - term(p)) over blocks of p = a mod q, P <= p <= prime_limit.
-
-    The table is read _BLOCK primes at a time and each block's factors are
-    formed in place, so every temporary is O(_BLOCK) whatever the limit.  No
-    name holds a block's arrays past its iteration, so they are freed before
-    the next block's are formed.
-    """
-    if prime_limit < 2:
-        raise InvalidArgumentError("prime_limit must be >= 2")
-    if prime_limit > primes.limit:
-        raise InvalidArgumentError("prime_limit exceeds the sieve limit")
-    ps = primes.in_range(spec.p_min, prime_limit)
-    log_value = 0j
-    for lo in range(0, len(ps), _BLOCK):
-        block = ps[lo : lo + _BLOCK]
-        if spec.q > 1:
-            block = block[block % spec.q == spec.a % spec.q]
-        if len(block):
-            log_value += block_log(_factors(_terms(spec, block.astype(float))))
-    return OracleResult(log_value, _tail_bound(spec, prime_limit))
+    np.subtract(1.0, t, out=t)
+    return np.log(t, out=t)
 
 
 def _tail_bound(spec: ProductSpec, prime_limit: int) -> float:
@@ -119,16 +90,23 @@ def _tail_bound(spec: ProductSpec, prime_limit: int) -> float:
 def oracle_log_product(
     spec: ProductSpec, primes: PrimeTable, prime_limit: int
 ) -> OracleResult:
-    """Direct sum of log(1 - term(p)) over p = a mod q, P <= p <= prime_limit."""
-    return _blocked(spec, primes, prime_limit, lambda f: complex(np.sum(np.log(f, out=f))))
+    """Direct sum of log(1 - term(p)) over p = a mod q, P <= p <= prime_limit.
 
-
-def oracle_log_product_direct(
-    spec: ProductSpec, primes: PrimeTable, prime_limit: int
-) -> OracleResult:
-    """Second, independent path: multiply each block's factors, log once per block.
-
-    Blocks keep the running product away from under/overflow; used to
-    cross-check the log-sum path.
+    The table is read _BLOCK primes at a time and each block's logs are
+    formed in place, so every temporary is O(_BLOCK) whatever the limit.  No
+    name holds a block's arrays past its iteration, so they are freed before
+    the next block's are formed.
     """
-    return _blocked(spec, primes, prime_limit, lambda f: cmath.log(complex(np.prod(f))))
+    if prime_limit < 2:
+        raise InvalidArgumentError("prime_limit must be >= 2")
+    if prime_limit > primes.limit:
+        raise InvalidArgumentError("prime_limit exceeds the sieve limit")
+    ps = primes.in_range(spec.p_min, prime_limit)
+    log_value = 0j
+    for lo in range(0, len(ps), _BLOCK):
+        block = ps[lo : lo + _BLOCK]
+        if spec.q > 1:
+            block = block[block % spec.q == spec.a % spec.q]
+        if len(block):
+            log_value += complex(np.sum(_log_factors(_terms(spec, block.astype(float)))))
+    return OracleResult(log_value, _tail_bound(spec, prime_limit))

@@ -48,9 +48,6 @@ class Polynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial.of([self.coeff(j) - other.coeff(j) for j in range(n)])
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
 
 def power_sums(h: Polynomial, k_max: int) -> list[complex]:
     """Power sums s(1..k_max) of the inverse roots of h, h(0) = 1 required.
@@ -98,17 +95,6 @@ def beta_bound(h: Polynomial) -> float:
     if h.coeff(0) != 1:
         raise InvalidArgumentError("beta_bound requires constant term exactly 1")
     return max(2.0, sum(abs(c) for c in h.coeffs[1:]))
-
-
-def beta_numeric(h: Polynomial) -> float:
-    """Sharper, non-certified inverse-root radius via numpy roots (diagnostics only)."""
-    import numpy as np
-
-    if h.degree == 0:
-        return 0.0
-    # ascending coeffs read highest-first are x^d h(1/x), whose roots are the inverse roots
-    inv = np.roots(list(h.coeffs))
-    return float(max(abs(r) for r in inv)) if len(inv) else 0.0
 
 
 # M(m) per multi-index.  A plain dict: a bounded functools.lru_cache keeps

@@ -5,20 +5,36 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from apeuler import character_group, euler_phi
+from apeuler import InvalidArgumentError, character_group, euler_phi
+from apeuler import characters
+
+
+def _angle(chi, n):
+    """chi(n) as a reduced fraction of a full turn, or None off the units."""
+    k = int(chi.group.table[chi.index, n % chi.modulus])
+    return None if k < 0 else Fraction(k, chi.group.exponent)
+
+
+def _trivial_on_units(chi):
+    """chi is 1 at every unit: its table row is 0 wherever gcd(n, q) = 1."""
+    q = chi.modulus
+    units = np.gcd(np.arange(q), q) == 1
+    return not chi.group.table[chi.index, units].any()
 
 
 def test_modulus_one():
     grp = character_group(1)
     assert len(grp) == 1
-    chi = grp.principal
+    chi = grp.characters[0]
+    assert _trivial_on_units(chi)
     assert all(chi(n) == 1 for n in range(10))
 
 
 def test_modulus_four():
     grp = character_group(4)
     assert len(grp) == 2
-    nonprincipal = [c for c in grp.characters if not c.is_principal]
+    assert _trivial_on_units(grp.characters[0])
+    nonprincipal = [c for c in grp.characters if not _trivial_on_units(c)]
     assert len(nonprincipal) == 1
     assert nonprincipal[0](3) == pytest.approx(-1)
     assert nonprincipal[0](2) == 0
@@ -30,17 +46,17 @@ def test_modulus_five_order_four():
     quartic = [c for c in grp.characters if c.order == 4]
     assert len(quartic) == 2
     for chi in quartic:
-        assert chi.angle(2) in (Fraction(1, 4), Fraction(3, 4))  # chi(2) = +-i
+        assert _angle(chi, 2) in (Fraction(1, 4), Fraction(3, 4))  # chi(2) = +-i
 
 
 def test_char_pow():
     grp = character_group(5)
     chi = next(c for c in grp.characters if c.order == 4)
-    assert (chi**0).is_principal
+    assert _trivial_on_units(chi**0)
     assert (chi**2).order == 2
     grp4 = character_group(4)
-    chi4 = next(c for c in grp4.characters if not c.is_principal)
-    assert (chi4**2).is_principal
+    chi4 = next(c for c in grp4.characters if not _trivial_on_units(c))
+    assert _trivial_on_units(chi4**2)
 
 
 @pytest.mark.parametrize("q", list(range(1, 31)))
@@ -52,8 +68,7 @@ def test_orthogonality_exact(q):
         for p in units:
             if (p - a) % q == 0:
                 # every chibar(a) chi(p) must be exactly 1 (angle 0)
-                for chi in grp.characters:
-                    assert (chi.angle(p) - chi.angle(a)) % 1 == 0
+                assert not ((grp.table[:, p] - grp.table[:, a]) % grp.exponent).any()
             else:
                 total = sum(chi(a).conjugate() * chi(p) for chi in grp.characters)
                 assert abs(total) < 1e-9
@@ -63,10 +78,10 @@ def test_orthogonality_exact(q):
 def test_complete_multiplicativity_exact(q):
     grp = character_group(q)
     units = [n for n in range(q) if math.gcd(n, q) == 1] or [0]
-    for chi in grp.characters:
-        for m in units:
-            for n in units:
-                assert chi.angle(m * n) == (chi.angle(m) + chi.angle(n)) % 1
+    for m in units:
+        for n in units:
+            want = (grp.table[:, m] + grp.table[:, n]) % grp.exponent
+            assert np.array_equal(grp.table[:, m * n % q], want)
 
 
 @pytest.mark.parametrize("q", [1, 4, 5, 8, 15, 16])
@@ -74,9 +89,9 @@ def test_power_closure_and_order(q):
     grp = character_group(q)
     members = set(grp.characters)
     for chi in grp.characters:
-        assert (chi**chi.order).is_principal
+        assert _trivial_on_units(chi**chi.order)
         for d in range(1, chi.order):
-            if (chi**d).is_principal:
+            if _trivial_on_units(chi**d):
                 pytest.fail(f"order not minimal for a character mod {q}")
         for d in range(2 * chi.order + 1):
             assert chi**d in members
@@ -107,7 +122,7 @@ def test_value_table_matches_exact_angles(q):
     grp = character_group(q)
     for chi in grp.characters:
         for n in range(q):
-            a = chi.angle(n)
+            a = _angle(chi, n)
             if a is None:
                 expected = 0j
             elif a == 0:
@@ -128,3 +143,12 @@ def test_power_map_matches_integer_powers(q):
         for chi in grp.characters:
             assert (chi**d).index == rows[chi.index]
             assert chi**d is grp.characters[rows[chi.index]]
+
+
+def test_table_cap_admits_phi_q_times_q_up_to_it(monkeypatch):
+    build = character_group.__wrapped__  # past the cache, so the check runs
+    monkeypatch.setattr(characters, "TABLE_MAX", 100 * 101)
+    assert len(build(101)) == 100
+    assert len(build(210)) == 48
+    with pytest.raises(InvalidArgumentError, match="largest supported, 10100"):
+        build(103)

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -104,11 +105,9 @@ def test_characters_subcommand(capsys):
 @pytest.mark.parametrize("q", [1, 2, 8, 101, 210])
 def test_characters_output_matches_the_exact_angles(capsys, q):
     grp = character_group(q)
-    rows = [
-        (chi.order, [None if a is None else f"{a.numerator}/{a.denominator}"
-                     for a in map(chi.angle, range(q))])
-        for chi in grp.characters
-    ]
+    angles = [Fraction(k, grp.exponent) for k in range(grp.exponent)]
+    labels = [f"{a.numerator}/{a.denominator}" for a in angles] + [None]  # -1 picks None
+    rows = [(chi.order, [labels[k] for k in grp.table[chi.index]]) for chi in grp.characters]
     expected_json = {
         "mode": "characters",
         "spec": {"q": q},
@@ -122,6 +121,29 @@ def test_characters_output_matches_the_exact_angles(capsys, q):
     assert capsys.readouterr().out == json.dumps(expected_json) + "\n"
     assert run(["characters", "--q", str(q)]) == 0
     assert capsys.readouterr().out == expected_text
+
+
+@pytest.mark.parametrize(
+    "argv", [["characters", "--q", "100003"], ["ap", "--q", "20011", "--a", "3"]]
+)
+def test_modulus_past_the_table_cap_exits_two(capsys, monkeypatch, argv):
+    from apeuler import characters
+
+    # these tables would take 74.5 GiB and 2.98 GiB; the refusal comes before any array
+    monkeypatch.setattr(characters, "np", None)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(characters.TABLE_MAX) in captured.err
+
+
+def test_direct_path_needs_no_character_table(capsys, monkeypatch):
+    from apeuler import characters
+
+    # at Re s = 40 every exponent is summed over primes, so q = 20011 never builds a table
+    monkeypatch.setattr(characters, "TABLE_MAX", 0)
+    assert run(["ap", "--s", "40", "--q", "20011", "--a", "3"]) == 0
+    capsys.readouterr()
 
 
 def test_invalid_arguments_exit_two(capsys):

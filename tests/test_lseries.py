@@ -83,7 +83,7 @@ def test_bound_honesty_doubled_parameters():
 
 
 def test_dirichlet_l_mod_one_is_zeta():
-    chi = character_group(1).principal
+    chi = character_group(1).characters[0]
     z = dirichlet_l(2, chi)
     assert abs(z.value - math.pi**2 / 6) <= z.bound + 1e-13
 
@@ -93,13 +93,13 @@ def test_dirichlet_l_catalan():
     n = np.arange(2 * 10**6)
     partial = float(np.sum((-1.0) ** n * (2 * n + 1) ** -2.0))
     tail = (2 * len(n) + 1.0) ** -2.0
-    chi = next(c for c in character_group(4).characters if not c.is_principal)
+    chi = character_group(4).characters[1]
     val = dirichlet_l(2, chi)
     assert abs(val.value - partial) <= val.bound + tail + 1e-12
 
 
 def test_dirichlet_l_principal_mod_two():
-    chi = character_group(2).principal
+    chi = character_group(2).characters[0]
     val = dirichlet_l(3, chi)
     z3 = hurwitz_zeta(3, 1.0)
     assert abs(val.value - (1 - 2**-3) * z3.value) <= val.bound + z3.bound + 1e-13
@@ -125,13 +125,13 @@ def test_zeta_p_100_against_filtered_sum(ls6):
 
 
 def test_log_truncated_l_zeta_case(ls6):
-    chi = character_group(1).principal
+    chi = character_group(1).characters[0]
     lt = ls6.log_truncated_l(2 + 0j, chi, 2)
     assert abs(lt.value - math.log(math.pi**2 / 6)) <= lt.bound + 1e-13
 
 
 def test_log_truncated_l_far_truncation_small(ls6):
-    chi = character_group(1).principal
+    chi = character_group(1).characters[0]
     lt = ls6.log_truncated_l(2 + 0j, chi, 10**4)
     assert abs(lt.value) < 1e-4  # roughly sum p^{-2} beyond 10^4
 
@@ -145,7 +145,7 @@ def test_log_truncated_l_refuses_a_threshold_past_the_table(ls6, s):
 
 
 def test_log_truncated_l_double_sum_oracle(ls6):
-    chi = next(c for c in character_group(4).characters if not c.is_principal)
+    chi = character_group(4).characters[1]
     ps = ls6.primes.in_range(5, 10**6)
     direct = 0j
     residues = np.ones_like(ps)  # p^k mod 4, stepped in k
@@ -184,6 +184,18 @@ def test_log_modulus_dominated_by_zeta_p(ls6, q, p_min, s):
     for chi in character_group(q).characters:
         lt = ls6.log_truncated_l(s, chi, p_min)
         assert abs(lt.value) <= cap + lt.bound + 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 4, 5])
+def test_add_back_between_p_and_the_branch_threshold(ls6, q):
+    # GRID_S keeps P0 <= 6; here every prime in [P, P0) is added back after the branch cut
+    s = 1.3 + 5j
+    assert ls6._branch_threshold(s.real) == 80
+    for chi in character_group(q).characters:
+        step = ls6.log_truncated_l(s, chi, 7).value - ls6.log_truncated_l(s, chi, 11).value
+        assert abs(step + cmath.log(1 - chi(7) * cmath.exp(-s * math.log(7)))) <= 1e-15
+        for p_min in (10, 11, 50):
+            assert abs(ls6.log_truncated_l(s, chi, p_min).value.imag) < math.pi
 
 
 @pytest.mark.parametrize("p_min", [2, 10, 100])

@@ -12,7 +12,6 @@ from apeuler import (
     Polynomial,
     RationalProductSpec,
     oracle_log_product,
-    oracle_log_product_direct,
 )
 from apeuler import oracle
 
@@ -70,27 +69,6 @@ def test_doubling_limit_stays_within_tail(primes_1e6, spec):
     assert full.tail_bound < half.tail_bound
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        APProductSpec(s=2 + 0j),
-        APProductSpec(s=1.5 + 1j, q=4, a=1, p_min=5),
-        APProductSpec(s=1.2 - 0.5j, q=30, a=7, p_min=7),
-        RationalProductSpec(
-            f=Polynomial.of([0, 0, 0, 1]), g=Polynomial.of([1, 1]), q=4, a=3, p_min=5
-        ),
-        MultiTermSpec(
-            terms=((-1 + 0j, 1.0, 0.0), (1 + 0j, 2.0, -1.0)), s=2 + 0j, p_min=10
-        ),
-    ],
-)
-def test_two_oracle_paths_agree(primes_1e6, spec):
-    a = oracle_log_product(spec, primes_1e6, 10**6)
-    b = oracle_log_product_direct(spec, primes_1e6, 10**6)
-    assert a.tail_bound == b.tail_bound
-    assert abs(a.log_value - b.log_value) <= 1e-12 * max(1.0, abs(a.log_value))
-
-
 def test_residue_filter(primes_1e6):
     spec = APProductSpec(s=3 + 0j, q=4, a=3, p_min=3)
     orc = oracle_log_product(spec, primes_1e6, 100)
@@ -134,6 +112,7 @@ _BLOCKED_SPECS = [
     RationalProductSpec(f=Polynomial.of([0, 0, 0, 1]), g=Polynomial.of([1, 1]), q=4, a=3, p_min=5),
     MultiTermSpec(terms=((-1 + 0j, 1.0, 0.0), (1 + 0j, 2.0, -1.0)), s=2 + 0j, p_min=10),
     MultiTermSpec(terms=((0.5j, 1.0, 0.5), (2 + 0j, 2.0, 0.0)), s=1.5 + 2j, q=30, a=11, p_min=11),
+    APProductSpec(s=1.5 + 1j, q=4, a=1, p_min=5),
 ]
 
 
@@ -153,19 +132,17 @@ def test_oracle_holds_one_block_at_a_time(primes_1e7, spec):
     tracemalloc.start()
     try:
         oracle_log_product(spec, primes_1e7, 10**7)
-        oracle_log_product_direct(spec, primes_1e7, 10**7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
 
 
-@pytest.mark.parametrize("path", [oracle_log_product, oracle_log_product_direct])
-def test_factor_crossing_zero_in_a_late_block_rejected(primes_1e7, path):
+def test_factor_crossing_zero_in_a_late_block_rejected(primes_1e7):
     # G(1/p) = 1 - c/p nearly vanishes at the prime p = 5,000,011, the 348,514th:
     # there |term(p)| = 1/(p (p - c)) is about 2, and at most 1e-7 at every other prime
     c = 5_000_011 - 1e-7
     spec = RationalProductSpec(f=Polynomial.of([0, 0, 1]), g=Polynomial.of([1, -c]), p_min=2)
-    assert path(spec, primes_1e7, 4_999_999).log_value != 0
+    assert oracle_log_product(spec, primes_1e7, 4_999_999).log_value != 0
     with pytest.raises(InvalidSpecError, match="touches or crosses 0"):
-        path(spec, primes_1e7, 10**7)
+        oracle_log_product(spec, primes_1e7, 10**7)
