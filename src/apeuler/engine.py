@@ -14,12 +14,14 @@ plus ``continuation_demo`` which rebuilds prod_p (1 + p^-s - p^-(2s-1)) from
 its necklace factorization and three zeta front factors.
 
 Necklace plans (multi and the demo) are compiled in array passes over all
-multi-indices at once; see ``_necklace_plan``.
+multi-indices at once, from index arrays built once per plan shape; see
+``_necklace_plan``.
 
 An exponent whose tail past a small prime cut X_j is below rounding (large
 Re s_j) is summed directly over the primes up to X_j, with that tail and the
 rounding in its bound; every other exponent goes through y_p.  One array call
-of ``_direct_cut`` routes every exponent of a plan.
+of ``_direct_cut`` routes every exponent of a plan, and one batched
+Euler-Maclaurin pass evaluates every Hurwitz vector its y_p calls read.
 
 Sign convention: ``y_p`` approximates sum_{p >= P, p = a mod q} log(1 - p^-s)
 itself (it tends to 0 as P grows), so every product is exp of a plain sum.
@@ -30,7 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -53,6 +54,9 @@ _U = 2.0**-53
 _DIRECT_CAP = 10**4
 # Largest (exponent, prime) block of the direct sum evaluated at once.
 _DIRECT_BLOCK = 1 << 11
+# Necklace plan shape -> (multi-indices, M(m)); at most _NECKLACE_ROWS_MAX rows in all.
+_NECKLACE_SHAPES: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_NECKLACE_ROWS_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -263,6 +267,15 @@ def _direct_sums(
     return values, tails + _U * rounding + counts * 2.0**-1000
 
 
+def _branch_fits(sigma: float, p_min: int, ls: LSeries) -> bool:
+    """Whether log_truncated_l accepts Re s = sigma at P: its branch cut lies within the prime table."""
+    try:
+        ls._branch_cut(sigma, p_min)
+    except InvalidArgumentError:
+        return False
+    return True
+
+
 def _execute(
     plan: dict[complex, complex], fixed: float, q: int, a: int, p_min: int, depth: int, ls: LSeries
 ) -> ProductResult:
@@ -271,6 +284,14 @@ def _execute(
     Each exponent is evaluated once: one _direct_cut call routes them all, to
     _direct_sums where the prime cut fits the cap and the prime table, to y_p
     (in plan order) where it does not.
+
+    Before the first y_p, every ell * s_j those calls evaluate (s_j a routed
+    exponent, ell a depth with nonzero unsieve weights) goes to
+    ``LSeries.fill_residues`` in one call, so all their zeta(s, r/q) vectors
+    come from one batched Euler-Maclaurin pass.  The batch stops short of the
+    first s_j that y_p refuses (Re s_j <= 1, or a branch threshold past the
+    prime table): that refusal is still raised by y_p, in plan order, with
+    its exit code and message, and nothing past it is evaluated.
 
     y_p's bound leaves out its own rounding, about u |c_j| for each routed
     exponent.  A plan whose floor u sum |c_j| over those exponents passes the
@@ -284,9 +305,18 @@ def _execute(
     cuts = _direct_cut(exps.real, p_min, ls.primes.limit)
     direct = cuts > 0
     floor = _U * float(np.abs(coeffs[~direct]).sum())
+    routed = exps[~direct].tolist()
+    if routed:
+        ells = [ell for ell, rows, _ in character_group(q).unsieve_weights(a, depth) if rows]
+        batch = []
+        for s in routed:
+            if s.real <= 1 or not _branch_fits(s.real, p_min, ls):
+                break  # y_p refuses s below, in plan order
+            batch += [ell * s for ell in ells]
+        ls.fill_residues(batch, q)
     total = 0j
     bound = fixed
-    for s, c in zip(exps[~direct].tolist(), coeffs[~direct].tolist()):
+    for s, c in zip(routed, coeffs[~direct].tolist()):
         y = y_p(s, q, a, p_min, depth, ls)
         total += c * y.value
         bound += abs(c) * y.bound
@@ -345,26 +375,57 @@ def _kappa_tail(
     )
 
 
+def _necklace_shape(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The multi-indices of a necklace plan shape as one int array, and M(m) per row as floats.
+
+    ``("multi", k, L)`` holds every m in Z_{>=0}^k with 1 <= |m| <= L in
+    lexicographic order; ``("demo", n_max)`` every (m1, m2) with m1, m2 >= 1
+    and m1 + 2 m2 <= n_max.  Compiled once per shape (one exact M(m) per
+    index) and cached read-only.  The cache holds at most _NECKLACE_ROWS_MAX
+    rows in all: it is emptied when the next shape would pass that, and a
+    larger shape is compiled for its caller alone.
+    """
+    out = _NECKLACE_SHAPES.get(shape)
+    if out is not None:
+        return out
+    if shape[0] == "multi":
+        width, indices = shape[1], multi_indices(*shape[1:])
+    else:
+        n_max = shape[1]
+        width = 2
+        indices = (
+            (m1, m2) for m1 in range(1, n_max - 1) for m2 in range(1, (n_max - m1) // 2 + 1)
+        )
+    flat, mm = [], []  # streamed: no list of index tuples is held
+    for m in indices:
+        flat += m
+        mm.append(necklace_m(m))
+    out = (np.array(flat, dtype=np.int64).reshape(len(mm), width), np.array(mm, dtype=float))
+    for arr in out:
+        arr.flags.writeable = False
+    if len(mm) <= _NECKLACE_ROWS_MAX:
+        if sum(len(held) for _, held in _NECKLACE_SHAPES.values()) + len(mm) > _NECKLACE_ROWS_MAX:
+            _NECKLACE_SHAPES.clear()
+        _NECKLACE_SHAPES[shape] = out
+    return out
+
+
 def _necklace_plan(
-    terms: tuple, s: complex, indices: Iterable[tuple[int, ...]], p_min: int, depth: int
+    terms: tuple, s: complex, shape: tuple, p_min: int, depth: int
 ) -> tuple[dict[complex, complex], float]:
-    """Term plan of sum_m M(m) log(1 - c_m p^-w_m) over the multi-indices m.
+    """Term plan of sum_m M(m) log(1 - c_m p^-w_m) over the multi-indices m of ``shape``.
 
     c_m = prod_l a_l^m_l and w_m = sum_l m_l (u_l s + v_l).  Each factor
     expands as sum_f (kappa_f(c_m)/f) y_p(f w_m), cut at f = L; the fixed bound
     is the kappa tail past the cut, using |kappa_f(c)/f| <= max(1, |c|)^f.
 
-    Compiled in array passes: the indices form one int array, c_m, w_m and the
-    kappa tails are array expressions over it, and kappa_f runs once per f
-    over every c_m.  The exponents f w_m are merged into the plan one f at a
-    time, so equal exponents share one entry.
+    Compiled in array passes: the indices and their M(m) are read from
+    ``_necklace_shape``, c_m, w_m and the kappa tails are array expressions
+    over them, and kappa_f runs once per f over every c_m.  The exponents
+    f w_m are merged into the plan one f at a time, so equal exponents share
+    one entry.
     """
-    flat, mm = [], []  # streamed: no list of index tuples is held
-    for m in indices:
-        flat += m
-        mm.append(necklace_m(m))
-    idx = np.array(flat, dtype=np.int64).reshape(len(mm), len(terms))
-    mm = np.array(mm, dtype=float)
+    idx, mm = _necklace_shape(shape)
     c = np.ones(len(mm), dtype=complex)
     w = np.zeros(len(mm), dtype=complex)
     for (al, u, v), ml in zip(terms, idx.T):
@@ -394,7 +455,7 @@ def multi_term_product(spec: MultiTermSpec, ls: LSeries) -> ProductResult:
     k = spec.k
     cap = spec.coeff_cap
     depth = spec.depth
-    plan, fixed = _necklace_plan(spec.terms, s, multi_indices(k, depth), spec.p_min, depth)
+    plan, fixed = _necklace_plan(spec.terms, s, ("multi", k, depth), spec.p_min, depth)
     structural = (
         2**k
         * cap**depth
@@ -443,14 +504,12 @@ def continuation_demo(
         raise InvalidArgumentError("n_max must be >= 3")
     if depth < 2:
         raise InvalidArgumentError("L must be >= 2")
+    ls.fill_residues((2 * s - 1, 2 * s, s), 1)  # the three front factors in one pass
     z1 = ls.zeta(2 * s - 1).log()
     z2 = ls.zeta(2 * s).log()
     z3 = ls.zeta(s).log()
     log_total = z3 + z1.scaled(-1) + z2.scaled(-1)
-    indices = (
-        (m1, m2) for m1 in range(1, n_max - 1) for m2 in range(1, (n_max - m1) // 2 + 1)
-    )
-    plan, fixed = _necklace_plan(_DEMO_TERMS, s, indices, 2, depth)
+    plan, fixed = _necklace_plan(_DEMO_TERMS, s, ("demo", n_max), 2, depth)
     exps = np.array(list(plan), dtype=complex)
     fixed += float(np.abs(list(plan.values())) @ 2.0 ** (-depth * exps.real))  # P^(-L Re s_j)
     res = _execute(plan, fixed, 1, 1, 2, depth, ls)

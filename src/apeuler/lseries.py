@@ -8,8 +8,11 @@ an error of about 1e-16 that no bound covers); the engine's direct prime sums
 for large Re s do include theirs.
 
 ``EvalParams`` holds that target alone; the Euler-Maclaurin (N, M) search
-starts and stops at fixed module constants.  ``LSeries`` caches the Hurwitz
-residue vector per (s, q) and the truncated log-L per (s, q, row, P).
+starts and stops at fixed module constants.  One kernel, ``_hurwitz_em``,
+evaluates a stack of (s, x) rows; ``_hurwitz_grid`` chooses (N, M) per
+exponent and makes one kernel call per (N, M) group.  ``LSeries`` caches the
+Hurwitz residue vector per (s, q), filled for a whole list of exponents in one
+such pass, and the truncated log-L per (s, q, row, P).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -89,7 +93,7 @@ _EM_ORDER = 4
 _MAX_TERMS = 1 << 22
 _MAX_ORDER = 60
 _BERNOULLI = BernoulliCache(130)
-# Largest (x, n) grid evaluated at once by the Euler-Maclaurin kernel.
+# Largest (row, n) grid evaluated at once by the Euler-Maclaurin kernel; a row is one (s, x).
 _BLOCK_ELEMS = 1 << 20
 
 
@@ -138,57 +142,88 @@ def _choose_em(s: complex, x: float, params: EvalParams) -> tuple[int, int]:
 
 
 def _hurwitz_em(
-    s: complex, xs: np.ndarray, n_terms: int, order: int
+    s: complex | np.ndarray, xs: np.ndarray, n_terms: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maclaurin values of zeta(s, x) for every x in ``xs`` with explicit (N, M).
+    """Euler-Maclaurin values of zeta(s_i, x_i) for every row i, with explicit (N, M).
 
-    Returns the values and, per x, the remainder majorant.
+    ``s`` holds one exponent per x in ``xs``; a scalar serves every x.  The
+    factors that depend on s alone (the Pochhammer symbols and the remainder
+    constant) are formed per distinct exponent in Python's complex arithmetic,
+    as a one-exponent call forms them, so each row comes out bit for bit as it
+    would alone.  Returns the values and, per row, the remainder majorant.
     """
-    sigma = s.real
-    block = max(1, _BLOCK_ELEMS // n_terms)  # rows of the (x, n) grid summed at once
+    uniq, inv = np.unique(np.broadcast_to(np.asarray(s, dtype=complex), xs.shape), return_inverse=True)
+    exps = uniq.tolist()
+    s = uniq[inv]
+    block = max(1, _BLOCK_ELEMS // n_terms)  # rows of the (row, n) grid summed at once
     k = np.arange(n_terms, dtype=float)
     value = np.concatenate([
-        np.exp(-s * np.log(k + xs[i : i + block, None])).sum(axis=1)
+        np.exp(-s[i : i + block, None] * np.log(k + xs[i : i + block, None])).sum(axis=1)
         for i in range(0, len(xs), block)
     ])
     w = xs + n_terms
     logw = np.log(w)
     value += np.exp((1 - s) * logw) / (s - 1) + 0.5 * np.exp(-s * logw)
 
-    poch = s  # (s)_{2j-1} for the current j
+    coeffs = []  # per j: B_2j / (2j)! * (s)_{2j-1}, per exponent
+    poch = exps
+    for jj in range(1, order + 1):
+        b = float(_BERNOULLI[2 * jj]) / math.factorial(2 * jj)
+        coeffs.append([b * p for p in poch])
+        poch = [p * ((e + 2 * jj - 1) * (e + 2 * jj)) for p, e in zip(poch, exps)]
     wpow = np.exp((-s - 1) * logw)  # w^(-s-2j+1) for the current j
     w_inv2 = w**-2.0
-    for jj in range(1, order + 1):
-        b = _BERNOULLI[2 * jj]
-        value += float(b) / math.factorial(2 * jj) * poch * wpow
-        poch *= (s + 2 * jj - 1) * (s + 2 * jj)
+    for c in np.array(coeffs, dtype=complex).reshape(order, len(exps))[:, inv]:
+        value += c * wpow
         wpow *= w_inv2
     # remainder majorant, in log space to dodge overflow
-    log_bound = (
-        math.log(abs(s + 2 * order + 1))
-        - math.log(sigma + 2 * order + 1)
-        + _log_abs_fraction(_BERNOULLI[2 * order + 2])
-        - math.lgamma(2 * order + 3)
-        + sum(math.log(abs(s + j)) for j in range(2 * order + 1))
-        - (sigma + 2 * order + 1) * logw
-    )
+    log_b = _log_abs_fraction(_BERNOULLI[2 * order + 2])
+    log_fact = math.lgamma(2 * order + 3)
+    log_k = np.array([
+        math.log(abs(e + 2 * order + 1))
+        - math.log(e.real + 2 * order + 1)
+        + log_b
+        - log_fact
+        + sum(math.log(abs(e + j)) for j in range(2 * order + 1))
+        for e in exps
+    ])
+    slope = np.array([e.real + 2 * order + 1 for e in exps])
+    log_bound = log_k[inv] - slope[inv] * logw
     return value, np.exp(np.minimum(log_bound, 700.0))
 
 
-def _hurwitz_vector(
-    s: complex, xs: np.ndarray, params: EvalParams
+def _hurwitz_grid(
+    exps: list[complex], xs: np.ndarray, params: EvalParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """zeta(s, x) and remainder bounds for all x in ``xs`` (in (0, 1]), in one pass.
+    """zeta(s, x) and remainder bounds for every s in ``exps`` and x in ``xs`` (in (0, 1]).
 
-    (N, M) is chosen at the smallest x, where the most terms are needed; the
-    remainder majorant is still evaluated and checked against target_eps per x.
+    Both arrays have one row per exponent.  (N, M) is chosen per s at the
+    smallest x, where the most terms are needed, and the exponents that share
+    an (N, M) are stacked into one kernel call.  The remainder majorant is
+    still checked against target_eps per (s, x); a refusal is raised for the
+    first s, in order, that fails.
     """
-    n, m = _choose_em(s, float(xs.min()), params)
-    values, bounds = _hurwitz_em(s, xs, n, m)
-    if not np.isfinite(values).all():
-        raise OutOfDomainError("non-finite value")
-    if (bounds > params.target_eps).any():
-        raise PrecisionUnreachableError("remainder bound exceeds target_eps")
+    x_min = float(xs.min())
+    values = np.zeros((len(exps), len(xs)), dtype=complex)
+    bounds = np.zeros((len(exps), len(xs)))
+    groups: dict[tuple[int, int], list[int]] = {}
+    errors: dict[int, Exception] = {}
+    for i, s in enumerate(exps):
+        try:
+            groups.setdefault(_choose_em(s, x_min, params), []).append(i)
+        except PrecisionUnreachableError as e:
+            errors[i] = e
+    stacked = np.array(exps, dtype=complex)
+    for (n, m), rows in groups.items():
+        v, b = _hurwitz_em(np.repeat(stacked[rows], len(xs)), np.tile(xs, len(rows)), n, m)
+        values[rows] = v.reshape(len(rows), len(xs))
+        bounds[rows] = b.reshape(len(rows), len(xs))
+    for i in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
+        errors.setdefault(i, OutOfDomainError("non-finite value"))
+    for i in np.flatnonzero((bounds > params.target_eps).any(axis=1)).tolist():
+        errors.setdefault(i, PrecisionUnreachableError("remainder bound exceeds target_eps"))
+    if errors:
+        raise errors[min(errors)]
     return values, bounds
 
 
@@ -199,22 +234,28 @@ def hurwitz_zeta(s: complex, x: float, params: EvalParams = EvalParams()) -> Val
         raise OutOfDomainError("hurwitz_zeta requires Re s > 1")
     if not (0 < x <= 1):
         raise OutOfDomainError("hurwitz_zeta requires 0 < x <= 1")
-    values, bounds = _hurwitz_vector(s, np.array([x], dtype=float), params)
-    return ValueWithBound(complex(values[0]), float(bounds[0]))
+    values, bounds = _hurwitz_grid([s], np.array([x], dtype=float), params)
+    return ValueWithBound(complex(values[0, 0]), float(bounds[0, 0]))
 
 
-def _zeta_residues(s: complex, q: int, params: EvalParams) -> tuple[np.ndarray, float]:
-    """zeta(s, r/q) placed at column r mod q for every unit r in 1..q (0 elsewhere).
+def _zeta_residues(
+    exps: list[complex], q: int, params: EvalParams
+) -> list[tuple[np.ndarray, float]]:
+    """Per s in ``exps``: zeta(s, r/q) placed at column r mod q for every unit r in 1..q (0 elsewhere).
 
-    Also returns the sum of the remainder bounds.  Nothing here depends on the
-    character, so one vector serves every L(s, chi) mod q.
+    Each vector comes with the sum of its remainder bounds.  Nothing here
+    depends on the character, so one vector serves every L(s, chi) mod q; all
+    of ``exps`` are evaluated in one batched pass.
     """
     r = np.arange(1, q + 1)
     r = r[np.gcd(r, q) == 1]
-    values, bounds = _hurwitz_vector(s, r / q, params)
-    out = np.zeros(q, dtype=complex)
-    out[r % q] = values
-    return out, float(bounds.sum())
+    values, bounds = _hurwitz_grid(exps, r / q, params)
+    out = []
+    for v, b in zip(values, bounds):
+        col = np.zeros(q, dtype=complex)
+        col[r % q] = v
+        out.append((col, float(b.sum())))
+    return out
 
 
 def _l_from_residues(
@@ -236,36 +277,58 @@ def dirichlet_l(
     s = complex(s)
     if s.real <= 1:
         raise OutOfDomainError("dirichlet_l requires Re s > 1")
-    return _l_from_residues(s, chi, _zeta_residues(s, chi.modulus, params))
+    return _l_from_residues(s, chi, _zeta_residues([s], chi.modulus, params)[0])
 
 
 class LSeries:
     """Evaluator bundling a prime table, accuracy parameters and two caches.
 
-    The zeta(s, r/q) vector is cached once per (s, q); every L(s, chi) mod q
-    is one character-table row times that vector, computed afresh because L
-    is only asked for when the truncated log-L, cached per (s, q, row, P),
+    The zeta(s, r/q) vector is cached once per (s, q); ``fill_residues``
+    computes the missing vectors of a list of exponents in one batched
+    Euler-Maclaurin pass, and everything else reads them through that cache:
+    zeta(s) is the q = 1 vector, and every L(s, chi) mod q is one
+    character-table row times the mod-q vector, computed afresh because L is
+    only asked for when the truncated log-L, cached per (s, q, row, P),
     misses.
     """
 
     def __init__(self, primes: PrimeTable, params: EvalParams = EvalParams()):
         self.primes = primes
         self.params = params
-        self._residue_cache: dict = {}  # (s, q) -> _zeta_residues
+        self._residue_cache: dict = {}  # (s, q) -> one entry of _zeta_residues
         self._logl_cache: dict = {}  # (s, q, row, P)
 
+    def fill_residues(self, exps: Iterable[complex], q: int) -> None:
+        """Cache the zeta(s, r/q) vectors of every s in ``exps`` (Re s > 1) that is not cached yet.
+
+        The missing exponents go through one batched pass: one kernel call
+        per Euler-Maclaurin (N, M) among them.
+        """
+        cache = self._residue_cache
+        missing = [s for s in dict.fromkeys(map(complex, exps)) if (s, q) not in cache]
+        if missing:
+            cache.update(zip(((s, q) for s in missing), _zeta_residues(missing, q, self.params)))
+
+    def _residues(self, s: complex, q: int) -> tuple[np.ndarray, float]:
+        out = self._residue_cache.get((s, q))
+        if out is None:
+            self.fill_residues([s], q)
+            out = self._residue_cache[(s, q)]
+        return out
+
     def zeta(self, s: complex) -> ValueWithBound:
-        return hurwitz_zeta(s, 1.0, self.params)
+        """zeta(s) = zeta(s, 1), the q = 1 residue vector."""
+        s = complex(s)
+        if s.real <= 1:
+            raise OutOfDomainError("zeta requires Re s > 1")
+        col, bound = self._residues(s, 1)
+        return ValueWithBound(complex(col[0]), bound)
 
     def dirichlet_l(self, s: complex, chi: DirichletCharacter) -> ValueWithBound:
         s = complex(s)
         if s.real <= 1:
             raise OutOfDomainError("dirichlet_l requires Re s > 1")
-        key = (s, chi.modulus)
-        residues = self._residue_cache.get(key)
-        if residues is None:
-            residues = self._residue_cache[key] = _zeta_residues(s, chi.modulus, self.params)
-        return _l_from_residues(s, chi, residues)
+        return _l_from_residues(s, chi, self._residues(s, chi.modulus))
 
     def zeta_p(self, s: complex, p_min: int) -> ValueWithBound:
         """zeta with Euler factors below p_min removed: zeta(s) * prod_{p<P} (1 - p^-s)."""
@@ -296,6 +359,19 @@ class LSeries:
         t = (1.0 / (0.9 * (sigma - 1))) ** (1.0 / (sigma - 1))
         return math.floor(t) + 2
 
+    def _branch_cut(self, sigma: float, p_min: int) -> int:
+        """P0 = max(P, branch threshold): log_truncated_l removes the Euler factors below it.
+
+        Refused when P0 passes the prime table.  The threshold falls as sigma
+        grows, so a sigma that passes makes every larger one pass.
+        """
+        p0 = max(p_min, self._branch_threshold(sigma))
+        if p0 > self.primes.limit:
+            raise InvalidArgumentError(
+                f"prime table limit {self.primes.limit} too small for threshold {p0}"
+            )
+        return p0
+
     def log_truncated_l(
         self, s: complex, chi: DirichletCharacter, p_min: int
     ) -> ValueWithBound:
@@ -314,11 +390,7 @@ class LSeries:
             raise OutOfDomainError("log_truncated_l requires Re s > 1")
         if p_min < 2:
             raise InvalidArgumentError("log_truncated_l requires P >= 2")
-        p0 = max(p_min, self._branch_threshold(s.real))
-        if p0 > self.primes.limit:
-            raise InvalidArgumentError(
-                f"prime table limit {self.primes.limit} too small for threshold {p0}"
-            )
+        p0 = self._branch_cut(s.real, p_min)
         lval = self.dirichlet_l(s, chi)
         factor = 1 + 0j
         add_back = 0j

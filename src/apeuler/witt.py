@@ -97,31 +97,13 @@ def beta_bound(h: Polynomial) -> float:
     return max(2.0, sum(abs(c) for c in h.coeffs[1:]))
 
 
-# M(m) per multi-index.  A plain dict: a bounded functools.lru_cache keeps
-# about 2.5 times the memory per entry.
-_NECKLACE_MEMO: dict[tuple[int, ...], int] = {}
-_NECKLACE_MEMO_MAX = 1 << 16
-
-
 def necklace_m(m: Sequence[int]) -> int:
     """The integer M(m_1,...,m_k) = (1/N) sum_{d | gcd(m)} mu(d) (N/d)! / prod (m_i/d)!.
 
-    Memoised per multi-index: the exact sum runs once per distinct tuple(m),
-    so the necklace plans of one product family, which share most of their
-    indices, pay for each M(m) once.  The memo is emptied when it reaches
-    _NECKLACE_MEMO_MAX entries.  Entries must be integers (numpy integers
-    included); invalid input raises on every call and is never stored.
+    Entries must be integers (numpy integers included).  The necklace plans
+    in ``engine`` compile M(m) once per plan shape, not per call.
     """
-    key = tuple(map(operator.index, m))
-    value = _NECKLACE_MEMO.get(key)
-    if value is None:
-        if len(_NECKLACE_MEMO) >= _NECKLACE_MEMO_MAX:
-            _NECKLACE_MEMO.clear()
-        value = _NECKLACE_MEMO[key] = _necklace_m(key)
-    return value
-
-
-def _necklace_m(m: tuple[int, ...]) -> int:
+    m = tuple(map(operator.index, m))
     if any(mi < 0 for mi in m):
         raise InvalidArgumentError("multi-index entries must be >= 0")
     n = sum(m)
@@ -138,7 +120,7 @@ def _necklace_m(m: tuple[int, ...]) -> int:
             t //= math.factorial(mi // d)
         acc += mu * t
     if acc % n != 0:
-        raise InternalError(f"necklace coefficient not integral at m={tuple(m)}")
+        raise InternalError(f"necklace coefficient not integral at m={m}")
     return acc // n
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,26 @@ def test_unreachable_precision_exit_three(capsys, monkeypatch):
     # so this target is out of reach for the series-length ceiling
     monkeypatch.setenv("EULER_AP_EPS", "1e-300")
     assert run(["ap", "--s", "1.5,200000", "--L", "2"]) == 3
+    capsys.readouterr()
+
+
+def test_plan_refusals_come_before_the_batched_hurwitz_pass(capsys, monkeypatch):
+    # the branch refusal at s = 1.1 is raised before any Hurwitz vector is
+    # evaluated, so an unreachable target changes neither its exit code nor
+    # its message, and no numpy warning is raised on the way
+    from apeuler import lseries
+
+    kernel, calls = lseries._hurwitz_em, []
+    monkeypatch.setattr(lseries, "_hurwitz_em", lambda *args: calls.append(args) or kernel(*args))
+    monkeypatch.setenv("EULER_AP_EPS", "1e-300")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["ap", "--s", "1.1"]) == 2
+    err = capsys.readouterr().err
+    assert "prime table limit" in err and "too small" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert calls == []
+    assert run(["ap", "--s", "2,1e6"]) == 3
     capsys.readouterr()
 
 

@@ -18,7 +18,7 @@ from apeuler import (
     rational_product,
     y_p,
 )
-from apeuler import PrecisionUnreachableError, character_group, engine, witt
+from apeuler import PrecisionUnreachableError, character_group, engine
 from apeuler.engine import (
     _demo_tail_majorant,
     _execute,
@@ -195,7 +195,7 @@ def test_multi_term_spec_validation():
 def test_single_factor_log_plus_sign(ls6, primes_1e6):
     # sum log(1 + p^-s) against the direct sum
     s = 2.5 + 0j
-    plan, fixed = _necklace_plan(((-1 + 0j, 1.0, 0.0),), s, [(1,)], 2, 10)
+    plan, fixed = _necklace_plan(((-1 + 0j, 1.0, 0.0),), s, ("multi", 1, 1), 2, 10)
     fixed += sum(abs(c) * 2.0 ** (-10 * e.real) for e, c in plan.items())
     res = _execute(plan, fixed, 1, 1, 2, 10, ls6)
     ps = primes_1e6.primes.astype(float)
@@ -475,14 +475,14 @@ def _assert_same_plan(new, ref):
 @pytest.mark.parametrize("n_max", [30, 60])
 @pytest.mark.parametrize("s", [2 + 0j, 1.5 + 2j])
 def test_necklace_plan_matches_the_per_index_loop_demo(s, n_max):
-    args = (engine._DEMO_TERMS, s, _demo_indices(n_max), 2, 10)
-    _assert_same_plan(_necklace_plan(*args), _reference_necklace_plan(*args))
+    new = _necklace_plan(engine._DEMO_TERMS, s, ("demo", n_max), 2, 10)
+    _assert_same_plan(new, _reference_necklace_plan(engine._DEMO_TERMS, s, _demo_indices(n_max), 2, 10))
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_necklace_plan_matches_the_per_index_loop_multi(ls6, k):
-    args = (_multi_terms(k), 2 + 0j, list(multi_indices(k, 8)), 7, 8)
-    new, ref = _necklace_plan(*args), _reference_necklace_plan(*args)
+    new = _necklace_plan(_multi_terms(k), 2 + 0j, ("multi", k, 8), 7, 8)
+    ref = _reference_necklace_plan(_multi_terms(k), 2 + 0j, list(multi_indices(k, 8)), 7, 8)
     _assert_same_plan(new, ref)
     a, b = (_execute(plan, fixed, 5, 2, 7, 8, ls6) for plan, fixed in (new, ref))
     assert abs(a.log_value - b.log_value) <= a.total_bound + b.total_bound
@@ -491,16 +491,30 @@ def test_necklace_plan_matches_the_per_index_loop_multi(ls6, k):
 def test_necklace_plan_runs_kappa_once_per_f_and_m_once_per_index(monkeypatch):
     calls, exact = [], []
     monkeypatch.setattr(engine, "kappa", lambda c, f: calls.append(f) or kappa(c, f))
-    body = witt._necklace_m
-    monkeypatch.setattr(witt, "_necklace_m", lambda m: exact.append(m) or body(m))
-    monkeypatch.setattr(witt, "_NECKLACE_MEMO", {})
-    indices = _demo_indices(60)
-    for _ in range(2):
+    monkeypatch.setattr(engine, "necklace_m", lambda m: exact.append(m) or necklace_m(m))
+    monkeypatch.setattr(engine, "_NECKLACE_SHAPES", {})
+    for s in (1.5 + 2j, 2 + 0j):
         calls.clear()
-        _necklace_plan(engine._DEMO_TERMS, 1.5 + 2j, iter(indices), 2, 10)
+        _necklace_plan(engine._DEMO_TERMS, s, ("demo", 60), 2, 10)
         assert calls == list(range(1, 11))  # 20 per compile with kappa per distinct c_m
-    # the per-index loop ran the exact M(m) sum 2 * 870 times
-    assert sorted(exact) == sorted(set(indices)) and len(exact) == 870
+    # the shape is compiled once: one exact M(m) per index, none for the second plan
+    assert exact == _demo_indices(60)
+    idx, mm = engine._NECKLACE_SHAPES[("demo", 60)]
+    assert idx.tolist() == [list(m) for m in exact]
+    assert mm.tolist() == [necklace_m(m) for m in exact]
+
+
+def test_necklace_shape_cache_is_emptied_when_full(monkeypatch):
+    monkeypatch.setattr(engine, "_NECKLACE_SHAPES", {})
+    monkeypatch.setattr(engine, "_NECKLACE_ROWS_MAX", 10)
+    engine._necklace_shape(("multi", 2, 2))  # 5 rows
+    engine._necklace_shape(("multi", 1, 4))  # 4 rows
+    assert list(engine._NECKLACE_SHAPES) == [("multi", 2, 2), ("multi", 1, 4)]
+    engine._necklace_shape(("multi", 3, 1))  # 3 more would make 12
+    assert list(engine._NECKLACE_SHAPES) == [("multi", 3, 1)]
+    idx, mm = engine._necklace_shape(("demo", 8))  # 12 rows: compiled, not kept
+    assert len(mm) == 12 and list(engine._NECKLACE_SHAPES) == [("multi", 3, 1)]
+    assert not idx.flags.writeable and not mm.flags.writeable
 
 
 def test_kappa_tail_takes_arrays():

@@ -1,19 +1,23 @@
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apeuler import (
     EvalParams,
     InvalidArgumentError,
     OutOfDomainError,
+    PrecisionUnreachableError,
     ValueWithBound,
     character_group,
     dirichlet_l,
     hurwitz_zeta,
 )
-from apeuler.lseries import _choose_em, _hurwitz_em
+from apeuler.lseries import _choose_em, _hurwitz_em, _hurwitz_grid
 
 GRID_S = [complex(sig, im) for sig in (1.5, 2.0, 3.0) for im in (0.0, 1.0)]
 
@@ -80,6 +84,59 @@ def test_bound_honesty_doubled_parameters():
             (base,), (base_bound,) = _hurwitz_em(s, np.array([x]), n, m)
             (refined,), _ = _hurwitz_em(s, np.array([x]), 2 * n, min(m + 4, 60))
             assert abs(base - refined) <= base_bound + 1e-13
+
+
+_EXPONENT = st.builds(
+    complex,
+    st.floats(min_value=1.05, max_value=60.0, exclude_min=True),
+    st.floats(min_value=-50.0, max_value=50.0),
+)
+_X = st.floats(min_value=1e-3, max_value=1.0)
+
+
+@given(
+    rows=st.lists(st.tuples(_EXPONENT, _X), min_size=1, max_size=8),
+    n_terms=st.integers(16, 300),
+    order=st.integers(4, 12),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_kernel_rows_equal_one_exponent_calls(rows, n_terms, order):
+    s, x = (np.array(c) for c in zip(*rows))
+    values, bounds = _hurwitz_em(s, x, n_terms, order)
+    for i, (si, xi) in enumerate(rows):
+        (v,), (b,) = _hurwitz_em(si, np.array([xi]), n_terms, order)
+        assert values[i] == v and bounds[i] == b
+
+
+@given(exps=st.lists(_EXPONENT, min_size=2, max_size=6, unique=True), xs=st.lists(_X, min_size=1, max_size=5))
+@example(exps=[2 + 0j, 1.1 + 40j, 3 + 20j], xs=[0.25, 1.0])  # (16, 4), (56, 6) and (37, 4)
+@settings(max_examples=40, deadline=None)
+def test_batched_grid_equals_one_exponent_grids(exps, xs):
+    # exponents drawn this far apart fall in different Euler-Maclaurin (N, M) groups
+    xs = np.array(xs)
+    values, bounds = _hurwitz_grid(exps, xs, EvalParams())
+    for s, v, b in zip(exps, values, bounds):
+        (one_v,), (one_b,) = _hurwitz_grid([s], xs, EvalParams())
+        assert v.tolist() == one_v.tolist() and b.tolist() == one_b.tolist()
+
+
+def test_batched_grid_raises_the_first_refusal_in_order(monkeypatch):
+    from apeuler import lseries
+
+    # at 1e-300, s = 60 finds an (N, M) and 2 + 1e6 i none; a NaN planted in
+    # the s = 60 rows makes both fail, and the refusal raised is the first one's
+    kernel = lseries._hurwitz_em
+
+    def planting(s, x, n_terms, order):
+        values, bounds = kernel(s, x, n_terms, order)
+        return np.where(s == 60, np.nan, values), bounds
+
+    monkeypatch.setattr(lseries, "_hurwitz_em", planting)
+    params = EvalParams(target_eps=1e-300)
+    with pytest.raises(OutOfDomainError, match="non-finite"):
+        _hurwitz_grid([60 + 0j, 2 + 1e6j], np.array([1.0]), params)
+    with pytest.raises(PrecisionUnreachableError, match="cannot reach"):
+        _hurwitz_grid([2 + 1e6j, 60 + 0j], np.array([1.0]), params)
 
 
 def test_dirichlet_l_mod_one_is_zeta():
@@ -209,28 +266,46 @@ def test_zeta_p_tail_inequality(ls6, sigma, p_min):
 
 
 def test_hurwitz_kernel_runs_once_per_exponent(primes_1e6, monkeypatch):
-    from apeuler import APProductSpec, LSeries, ap_product
+    from apeuler import APProductSpec, LSeries, MultiTermSpec, ap_product, multi_term_product
     from apeuler import lseries
+    from apeuler.arith import euler_phi
 
-    calls = []
-    kernel = lseries._hurwitz_vector
+    calls = []  # per kernel call: its (N, M) and the rows of each exponent
+    kernel = lseries._hurwitz_em
 
-    def counting(s, xs, params):
-        calls.append(complex(s))
-        return kernel(s, xs, params)
+    def counting(s, xs, n_terms, order):
+        exps, rows = np.unique(s, return_counts=True)
+        calls.append(((n_terms, order), dict(zip(exps.tolist(), rows.tolist()))))
+        return kernel(s, xs, n_terms, order)
 
-    monkeypatch.setattr(lseries, "_hurwitz_vector", counting)
+    def check(q, exponents):
+        # one call per (N, M) among the exponents; each residue vector computed once
+        groups = {_choose_em(e, 1 / q, EvalParams()) for e in exponents}
+        assert sorted(nm for nm, _ in calls) == sorted(groups)
+        seen = [e for _, rows in calls for e in rows]
+        assert Counter(seen) == Counter(exponents)
+        assert all(r == euler_phi(q) for _, rows in calls for r in rows.values())
+
+    monkeypatch.setattr(lseries, "_hurwitz_em", counting)
     ls = LSeries(primes_1e6)
     # residue 2 generates (Z/101Z)* and leaves a nonzero weight at every
     # depth; residue 1 skips the depths whose weights all cancel
     spec = APProductSpec(s=2 + 0j, q=101, a=2, p_min=2, depth=10)
     ap_product(spec, ls)
-    exponents = [ell * spec.s for ell in range(1, spec.depth + 1)]
-    assert sorted(calls, key=abs) == exponents  # once per distinct exponent
+    check(101, [ell * spec.s for ell in range(1, spec.depth + 1)])
     calls.clear()
     for a in (1, 3, 100):
         ap_product(APProductSpec(s=2 + 0j, q=101, a=a, p_min=2, depth=10), ls)
     assert calls == []
+    # the benchmark's multi job at q = 5, k = 3: one kernel call per (N, M)
+    # group for its 24 residue vectors, where each vector used to take one
+    terms = tuple(zip((cmath.rect(0.9, 0.7), cmath.rect(0.6, 2.9), cmath.rect(0.4, 4.4)),
+                      (1.0, 2.0, 3.0), (0.0, -1.0, -1.0)))
+    multi_term_product(MultiTermSpec(terms=terms, s=2 + 0j, q=5, a=2, p_min=7, depth=8),
+                       LSeries(primes_1e6))
+    exponents = [e for _, rows in calls for e in rows]
+    assert len(set(exponents)) == 24
+    check(5, set(exponents))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 8, 30, 101])

@@ -19,7 +19,6 @@ from apeuler import (
     witt_b,
 )
 from apeuler.arith import divisors
-from apeuler import witt
 
 
 def _log_series(coeffs, deg):
@@ -210,13 +209,6 @@ def test_necklace_m_accepts_any_integer_sequence():
     for _ in range(2):  # refused on every call, never cached
         with pytest.raises(InvalidArgumentError):
             necklace_m([0, 0])
-
-
-def test_necklace_memo_is_emptied_when_full(monkeypatch):
-    monkeypatch.setattr(witt, "_NECKLACE_MEMO", {})
-    monkeypatch.setattr(witt, "_NECKLACE_MEMO_MAX", 2)
-    assert [necklace_m(m) for m in ((1, 1), (2, 1), (1, 1, 1), (2, 1))] == [1, 1, 2, 1]
-    assert witt._NECKLACE_MEMO == {(1, 1, 1): 2, (2, 1): 1}
 
 
 def test_kappa_divisor_sum_identity():
