@@ -10,9 +10,12 @@ for large Re s do include theirs.
 ``EvalParams`` holds that target alone; the Euler-Maclaurin (N, M) search
 starts and stops at fixed module constants.  One kernel, ``_hurwitz_em``,
 evaluates a stack of (s, x) rows; ``_hurwitz_grid`` chooses (N, M) per
-exponent and makes one kernel call per (N, M) group.  ``LSeries`` caches the
-Hurwitz residue vector per (s, q), filled for a whole list of exponents in one
-such pass, and the truncated log-L per (s, q, row, P).
+exponent and makes one kernel call per (N, M) group.  ``LSeries`` keeps three
+caches: the Hurwitz residue vector per (s, q), filled for a whole list of
+exponents in one such pass; per (s, q, P), the part of a truncated log-L that
+no character row owns (the branch cut, the L values of every row as one
+table product, the primes below the cut with p^-s and chi(p)); and the
+truncated log-L per (s, q, row, P).
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .arith import BernoulliCache, PrimeTable
-from .characters import DirichletCharacter
+from .characters import CharacterGroup, DirichletCharacter
 from .errors import (
     InvalidArgumentError,
     OutOfDomainError,
@@ -147,10 +150,11 @@ def _hurwitz_em(
     """Euler-Maclaurin values of zeta(s_i, x_i) for every row i, with explicit (N, M).
 
     ``s`` holds one exponent per x in ``xs``; a scalar serves every x.  The
-    factors that depend on s alone (the Pochhammer symbols and the remainder
-    constant) are formed per distinct exponent in Python's complex arithmetic,
-    as a one-exponent call forms them, so each row comes out bit for bit as it
-    would alone.  Returns the values and, per row, the remainder majorant.
+    factors that depend on s alone are formed once per distinct exponent: the
+    Pochhammer symbols in Python's complex arithmetic, as a one-exponent call
+    forms them, and the log of the remainder constant K(M) in one array
+    expression whose rows do not mix.  So each row comes out bit for bit as
+    it would alone.  Returns the values and, per row, the remainder majorant.
     """
     uniq, inv = np.unique(np.broadcast_to(np.asarray(s, dtype=complex), xs.shape), return_inverse=True)
     exps = uniq.tolist()
@@ -179,16 +183,15 @@ def _hurwitz_em(
     # remainder majorant, in log space to dodge overflow
     log_b = _log_abs_fraction(_BERNOULLI[2 * order + 2])
     log_fact = math.lgamma(2 * order + 3)
-    log_k = np.array([
-        math.log(abs(e + 2 * order + 1))
-        - math.log(e.real + 2 * order + 1)
+    top = 2 * order + 1
+    log_k = (
+        np.log(np.abs(uniq + top))
+        - np.log(uniq.real + top)
         + log_b
         - log_fact
-        + sum(math.log(abs(e + j)) for j in range(2 * order + 1))
-        for e in exps
-    ])
-    slope = np.array([e.real + 2 * order + 1 for e in exps])
-    log_bound = log_k[inv] - slope[inv] * logw
+        + np.log(np.abs(uniq[:, None] + np.arange(top))).sum(axis=1)
+    )
+    log_bound = log_k[inv] - (s.real + top) * logw
     return value, np.exp(np.minimum(log_bound, 700.0))
 
 
@@ -258,14 +261,18 @@ def _zeta_residues(
     return out
 
 
-def _l_from_residues(
-    s: complex, chi: DirichletCharacter, residues: tuple[np.ndarray, float]
-) -> ValueWithBound:
-    """L(s, chi) = q^(-s) * sum_r chi(r) zeta(s, r/q) as one table-row product."""
+def _l_rows(
+    s: complex, group: CharacterGroup, residues: tuple[np.ndarray, float]
+) -> tuple[np.ndarray, float]:
+    """L(s, chi) = q^(-s) * sum_r chi(r) zeta(s, r/q) for every row chi of ``group``.
+
+    One product of the whole value table with the zeta(s, r/q) vector; every
+    row shares the one bound returned.
+    """
     zeta_cols, bound = residues
-    q = chi.modulus
+    q = group.modulus
     scale = cmath.exp(-s * math.log(q)) if q > 1 else 1.0
-    return ValueWithBound(scale * complex(chi.values @ zeta_cols), abs(scale) * bound)
+    return scale * (group.values @ zeta_cols), abs(scale) * bound
 
 
 def dirichlet_l(
@@ -277,25 +284,40 @@ def dirichlet_l(
     s = complex(s)
     if s.real <= 1:
         raise OutOfDomainError("dirichlet_l requires Re s > 1")
-    return _l_from_residues(s, chi, _zeta_residues([s], chi.modulus, params)[0])
+    values, bound = _l_rows(s, chi.group, _zeta_residues([s], chi.modulus, params)[0])
+    return ValueWithBound(complex(values[chi.index]), bound)
+
+
+class _Cut(NamedTuple):
+    """What a log L_P(s, chi) miss mod q needs that does not depend on the row chi."""
+
+    l_values: list[complex]  # L(s, chi) per table row
+    l_bound: float  # the bound every L value shares
+    primes: list[int]  # the primes below the branch cut P0
+    powers: list[complex]  # p^-s for each of those primes
+    chi_p: np.ndarray  # chi(p): one table row by those primes
 
 
 class LSeries:
-    """Evaluator bundling a prime table, accuracy parameters and two caches.
+    """Evaluator bundling a prime table, accuracy parameters and three caches.
 
-    The zeta(s, r/q) vector is cached once per (s, q); ``fill_residues``
-    computes the missing vectors of a list of exponents in one batched
-    Euler-Maclaurin pass, and everything else reads them through that cache:
-    zeta(s) is the q = 1 vector, and every L(s, chi) mod q is one
-    character-table row times the mod-q vector, computed afresh because L is
-    only asked for when the truncated log-L, cached per (s, q, row, P),
-    misses.
+    * per (s, q): the zeta(s, r/q) vector.  ``fill_residues`` computes the
+      missing vectors of a list of exponents in one batched Euler-Maclaurin
+      pass; zeta(s) is the q = 1 vector.
+    * per (s, q, P): everything a truncated log-L miss needs that no single
+      row owns, built on the first miss: the branch cut P0, the L values of
+      every character-table row as one table product with the mod-q vector
+      (``dirichlet_l`` reads L through the same product), and the primes below
+      P0 with p^-s and chi(p) read from the table.
+    * per (s, q, row, P): the truncated log-L itself.  A miss keeps only the
+      row's own work: its short Euler product, the log and the add-back.
     """
 
     def __init__(self, primes: PrimeTable, params: EvalParams = EvalParams()):
         self.primes = primes
         self.params = params
         self._residue_cache: dict = {}  # (s, q) -> one entry of _zeta_residues
+        self._cut_cache: dict = {}  # (s, q, P) -> _Cut
         self._logl_cache: dict = {}  # (s, q, row, P)
 
     def fill_residues(self, exps: Iterable[complex], q: int) -> None:
@@ -328,7 +350,8 @@ class LSeries:
         s = complex(s)
         if s.real <= 1:
             raise OutOfDomainError("dirichlet_l requires Re s > 1")
-        return _l_from_residues(s, chi, self._residues(s, chi.modulus))
+        values, bound = _l_rows(s, chi.group, self._residues(s, chi.modulus))
+        return ValueWithBound(complex(values[chi.index]), bound)
 
     def zeta_p(self, s: complex, p_min: int) -> ValueWithBound:
         """zeta with Euler factors below p_min removed: zeta(s) * prod_{p<P} (1 - p^-s)."""
@@ -372,6 +395,28 @@ class LSeries:
             )
         return p0
 
+    def _cut(self, s: complex, group: CharacterGroup, p_min: int) -> _Cut:
+        """The (s, q, P) entry of the cut cache, built with the refusals of log_truncated_l."""
+        key = (s, group.modulus, p_min)
+        out = self._cut_cache.get(key)
+        if out is None:
+            if s.real <= 1:
+                raise OutOfDomainError("log_truncated_l requires Re s > 1")
+            if p_min < 2:
+                raise InvalidArgumentError("log_truncated_l requires P >= 2")
+            primes = self.primes.below(self._branch_cut(s.real, p_min))
+            values, bound = _l_rows(s, group, self._residues(s, group.modulus))
+            plist = primes.tolist()
+            out = _Cut(
+                values.tolist(),
+                bound,
+                plist,
+                [cmath.exp(-s * math.log(p)) for p in plist],
+                group.values[:, primes % group.modulus],
+            )
+            self._cut_cache[key] = out
+        return out
+
     def log_truncated_l(
         self, s: complex, chi: DirichletCharacter, p_min: int
     ) -> ValueWithBound:
@@ -386,20 +431,15 @@ class LSeries:
         out = self._logl_cache.get(key)
         if out is not None:
             return out
-        if s.real <= 1:
-            raise OutOfDomainError("log_truncated_l requires Re s > 1")
-        if p_min < 2:
-            raise InvalidArgumentError("log_truncated_l requires P >= 2")
-        p0 = self._branch_cut(s.real, p_min)
-        lval = self.dirichlet_l(s, chi)
+        cut = self._cut(s, chi.group, p_min)
         factor = 1 + 0j
         add_back = 0j
-        for p in self.primes.below(p0).tolist():
-            t = 1 - chi(p) * cmath.exp(-s * math.log(p))
+        for c, p, z in zip(cut.chi_p[chi.index].tolist(), cut.primes, cut.powers):
+            t = 1 - c * z
             factor *= t
             if p >= p_min:
                 add_back += -cmath.log(t)
-        main = ValueWithBound(lval.value * factor, lval.bound * abs(factor)).log()
+        main = ValueWithBound(cut.l_values[chi.index] * factor, cut.l_bound * abs(factor)).log()
         out = ValueWithBound(main.value + add_back, main.bound)
         self._logl_cache[key] = out
         return out

@@ -108,6 +108,25 @@ def test_stacked_kernel_rows_equal_one_exponent_calls(rows, n_terms, order):
         assert values[i] == v and bounds[i] == b
 
 
+@given(rows=st.lists(st.tuples(_EXPONENT, _X), min_size=1, max_size=8), order=st.integers(4, 12))
+@settings(max_examples=60, deadline=None)
+def test_remainder_majorant_matches_the_per_exponent_formula(rows, order):
+    # log K(M) = log|s+2M+1| - log(sigma+2M+1) + log|B_2M+2| - log (2M+2)! + sum_j<2M+1 log|s+j|
+    from apeuler.lseries import _BERNOULLI, _log_abs_fraction
+
+    s, x = (np.array(c) for c in zip(*rows))
+    _, bounds = _hurwitz_em(s, x, 16, order)
+    top = 2 * order + 1
+    for (si, xi), b in zip(rows, bounds):
+        log_k = (
+            math.log(abs(si + top)) - math.log(si.real + top)
+            + _log_abs_fraction(_BERNOULLI[2 * order + 2]) - math.lgamma(2 * order + 3)
+            + sum(math.log(abs(si + j)) for j in range(top))
+        )
+        ref = math.exp(min(log_k - (si.real + top) * math.log(xi + 16), 700.0))
+        assert b == pytest.approx(ref, rel=1e-12)
+
+
 @given(exps=st.lists(_EXPONENT, min_size=2, max_size=6, unique=True), xs=st.lists(_X, min_size=1, max_size=5))
 @example(exps=[2 + 0j, 1.1 + 40j, 3 + 20j], xs=[0.25, 1.0])  # (16, 4), (56, 6) and (37, 4)
 @settings(max_examples=40, deadline=None)
@@ -208,7 +227,7 @@ def test_log_truncated_l_double_sum_oracle(ls6):
     residues = np.ones_like(ps)  # p^k mod 4, stepped in k
     for k in range(1, 41):
         residues = residues * (ps % 4) % 4
-        direct += np.sum(chi.values[residues] * ps.astype(float) ** (-2.0 * k)) / k
+        direct += np.sum(chi.group.values[chi.index, residues] * ps.astype(float) ** (-2.0 * k)) / k
     tail = 2.0 / 10**6  # geometric remainder over p > 1e6 and k > 40
     lt = ls6.log_truncated_l(2 + 0j, chi, 5)
     assert abs(lt.value - direct) <= lt.bound + tail + 1e-12
@@ -253,6 +272,55 @@ def test_add_back_between_p_and_the_branch_threshold(ls6, q):
         assert abs(step + cmath.log(1 - chi(7) * cmath.exp(-s * math.log(7)))) <= 1e-15
         for p_min in (10, 11, 50):
             assert abs(ls6.log_truncated_l(s, chi, p_min).value.imag) < math.pi
+
+
+def test_a_second_row_at_one_cut_reuses_its_l_product_and_prime_powers(primes_1e6, monkeypatch):
+    # the L values of every row, and the primes below P0 with their p^-s, are
+    # built once per (s, q, P); a miss for another row runs only its own factors
+    from apeuler import LSeries, lseries
+    from apeuler.arith import PrimeTable
+
+    products, prime_lists = [], []
+    l_rows, below = lseries._l_rows, PrimeTable.below
+    monkeypatch.setattr(lseries, "_l_rows", lambda *args: products.append(args[0]) or l_rows(*args))
+    monkeypatch.setattr(PrimeTable, "below", lambda self, bound: prime_lists.append(bound) or below(self, bound))
+    ls = LSeries(primes_1e6)
+    s = 1.5 + 3j  # P0 = 6: the factors at 2, 3 and 5 are removed
+    chars = character_group(5).characters
+    ls.log_truncated_l(s, chars[1], 2)
+    assert (products, prime_lists) == ([s], [6])
+    for chi in chars:
+        ls.log_truncated_l(s, chi, 2)
+    assert (products, prime_lists) == ([s], [6])
+    ls.log_truncated_l(s, chars[1], 3)  # another P is another entry
+    assert (products, prime_lists) == ([s, s], [6, 6])
+    assert ls.dirichlet_l(s, chars[2]).value == dirichlet_l(s, chars[2]).value
+    assert products == [s, s, s, s]  # both dirichlet_l go through the all-row product
+
+
+@given(
+    q=st.sampled_from((1, 4, 5, 30, 101, 210)),
+    p_min=st.sampled_from((2, 3, 7, 11)),
+    sigma=st.floats(min_value=1.2, max_value=12.0, exclude_min=True),
+    t=st.floats(min_value=-30.0, max_value=30.0),
+)
+@example(q=210, p_min=11, sigma=1.2000001, t=17.2)  # P0 = 5302: 701 primes below the cut
+@settings(max_examples=25, deadline=None)
+def test_log_truncated_l_matches_dirichlet_l_times_its_euler_factors(primes_1e6, q, p_min, sigma, t):
+    from apeuler import LSeries
+
+    s = complex(sigma, t)
+    ls = LSeries(primes_1e6)
+    primes = primes_1e6.below(ls._branch_cut(sigma, p_min)).tolist()
+    for chi in character_group(q).characters:
+        removed, add_back = 1 + 0j, 0j
+        for p in primes:
+            factor = 1 - chi(p) * p**-s
+            removed *= factor
+            if p >= p_min:
+                add_back -= cmath.log(factor)
+        ref = cmath.log(dirichlet_l(s, chi).value * removed) + add_back
+        assert abs(ls.log_truncated_l(s, chi, p_min).value - ref) <= 8 * 2.0**-52 * (1 + abs(ref))
 
 
 @pytest.mark.parametrize("p_min", [2, 10, 100])
