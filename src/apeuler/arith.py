@@ -126,7 +126,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def mobius(n: int) -> int:
     """Moebius function: 0 unless n is squarefree, else (-1)^(number of prime factors)."""
     if n < 1:

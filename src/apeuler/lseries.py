@@ -10,12 +10,13 @@ for large Re s do include theirs.
 ``EvalParams`` holds that target alone; the Euler-Maclaurin (N, M) search
 starts and stops at fixed module constants.  One kernel, ``_hurwitz_em``,
 evaluates a stack of (s, x) rows; ``_hurwitz_grid`` chooses (N, M) per
-exponent and makes one kernel call per (N, M) group.  ``LSeries`` keeps three
+exponent and makes one kernel call per (N, M) group.  ``LSeries`` keeps four
 caches: the Hurwitz residue vector per (s, q), filled for a whole list of
-exponents in one such pass; per (s, q, P), the part of a truncated log-L that
-no character row owns (the branch cut, the L values of every row as one
-table product, the primes below the cut with p^-s and chi(p)); and the
-truncated log-L per (s, q, row, P).
+exponents in one such pass; the L values of every character row per (s, q),
+one table product with that vector; per (s, q, P), the part of a truncated
+log-L miss that no row owns (the branch cut, and the primes below it as their
+columns mod q with p^-s), O(pi(P0)) in size; and the truncated log-L per
+(s, q, row, P).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -262,17 +264,17 @@ def _zeta_residues(
 
 
 def _l_rows(
-    s: complex, group: CharacterGroup, residues: tuple[np.ndarray, float]
+    s: complex, group: CharacterGroup, residues: tuple[np.ndarray, float], rows=slice(None)
 ) -> tuple[np.ndarray, float]:
-    """L(s, chi) = q^(-s) * sum_r chi(r) zeta(s, r/q) for every row chi of ``group``.
+    """L(s, chi) = q^(-s) * sum_r chi(r) zeta(s, r/q) for the rows ``rows`` of ``group``.
 
-    One product of the whole value table with the zeta(s, r/q) vector; every
-    row shares the one bound returned.
+    One product of those table rows (every row by default) with the
+    zeta(s, r/q) vector; every row shares the one bound returned.
     """
     zeta_cols, bound = residues
     q = group.modulus
     scale = cmath.exp(-s * math.log(q)) if q > 1 else 1.0
-    return scale * (group.values @ zeta_cols), abs(scale) * bound
+    return scale * (group.values[rows] @ zeta_cols), abs(scale) * bound
 
 
 def dirichlet_l(
@@ -284,31 +286,32 @@ def dirichlet_l(
     s = complex(s)
     if s.real <= 1:
         raise OutOfDomainError("dirichlet_l requires Re s > 1")
-    values, bound = _l_rows(s, chi.group, _zeta_residues([s], chi.modulus, params)[0])
-    return ValueWithBound(complex(values[chi.index]), bound)
+    value, bound = _l_rows(s, chi.group, _zeta_residues([s], chi.modulus, params)[0], chi.index)
+    return ValueWithBound(complex(value), bound)
 
 
 class _Cut(NamedTuple):
     """What a log L_P(s, chi) miss mod q needs that does not depend on the row chi."""
 
-    l_values: list[complex]  # L(s, chi) per table row
-    l_bound: float  # the bound every L value shares
-    primes: list[int]  # the primes below the branch cut P0
+    cols: np.ndarray  # p mod q for each prime p below the branch cut P0
     powers: list[complex]  # p^-s for each of those primes
-    chi_p: np.ndarray  # chi(p): one table row by those primes
+    start: int  # how many of them lie below P: removed, never added back
+    l_values: tuple[list[complex], float]  # the (s, q) entry of the L cache, shared with it
 
 
 class LSeries:
-    """Evaluator bundling a prime table, accuracy parameters and three caches.
+    """Evaluator bundling a prime table, accuracy parameters and four caches.
 
     * per (s, q): the zeta(s, r/q) vector.  ``fill_residues`` computes the
       missing vectors of a list of exponents in one batched Euler-Maclaurin
       pass; zeta(s) is the q = 1 vector.
-    * per (s, q, P): everything a truncated log-L miss needs that no single
-      row owns, built on the first miss: the branch cut P0, the L values of
-      every character-table row as one table product with the mod-q vector
-      (``dirichlet_l`` reads L through the same product), and the primes below
-      P0 with p^-s and chi(p) read from the table.
+    * per (s, q): the L values of every character-table row, one table
+      product with that vector, built on the first ``dirichlet_l`` or
+      truncated log-L miss at (s, q).
+    * per (s, q, P): what a truncated log-L miss needs that no single row
+      owns, built on the first miss: the branch cut P0, and the primes below
+      it as their columns mod q with p^-s.  Its size is O(pi(P0)), not
+      O(phi(q) pi(P0)): a miss reads chi(p) from the table through the columns.
     * per (s, q, row, P): the truncated log-L itself.  A miss keeps only the
       row's own work: its short Euler product, the log and the add-back.
     """
@@ -317,6 +320,7 @@ class LSeries:
         self.primes = primes
         self.params = params
         self._residue_cache: dict = {}  # (s, q) -> one entry of _zeta_residues
+        self._l_cache: dict = {}  # (s, q) -> (L per table row as a list, shared bound)
         self._cut_cache: dict = {}  # (s, q, P) -> _Cut
         self._logl_cache: dict = {}  # (s, q, row, P)
 
@@ -350,8 +354,17 @@ class LSeries:
         s = complex(s)
         if s.real <= 1:
             raise OutOfDomainError("dirichlet_l requires Re s > 1")
-        values, bound = _l_rows(s, chi.group, self._residues(s, chi.modulus))
-        return ValueWithBound(complex(values[chi.index]), bound)
+        values, bound = self._l_values(s, chi.group)
+        return ValueWithBound(values[chi.index], bound)
+
+    def _l_values(self, s: complex, group: CharacterGroup) -> tuple[list[complex], float]:
+        """The (s, q) entry of the L cache: L(s, chi) of every table row and their shared bound."""
+        key = (s, group.modulus)
+        out = self._l_cache.get(key)
+        if out is None:
+            values, bound = _l_rows(s, group, self._residues(s, group.modulus))
+            out = self._l_cache[key] = (values.tolist(), bound)
+        return out
 
     def zeta_p(self, s: complex, p_min: int) -> ValueWithBound:
         """zeta with Euler factors below p_min removed: zeta(s) * prod_{p<P} (1 - p^-s)."""
@@ -397,7 +410,8 @@ class LSeries:
 
     def _cut(self, s: complex, group: CharacterGroup, p_min: int) -> _Cut:
         """The (s, q, P) entry of the cut cache, built with the refusals of log_truncated_l."""
-        key = (s, group.modulus, p_min)
+        q = group.modulus
+        key = (s, q, p_min)
         out = self._cut_cache.get(key)
         if out is None:
             if s.real <= 1:
@@ -405,15 +419,8 @@ class LSeries:
             if p_min < 2:
                 raise InvalidArgumentError("log_truncated_l requires P >= 2")
             primes = self.primes.below(self._branch_cut(s.real, p_min))
-            values, bound = _l_rows(s, group, self._residues(s, group.modulus))
-            plist = primes.tolist()
-            out = _Cut(
-                values.tolist(),
-                bound,
-                plist,
-                [cmath.exp(-s * math.log(p)) for p in plist],
-                group.values[:, primes % group.modulus],
-            )
+            powers = [cmath.exp(-s * math.log(p)) for p in primes.tolist()]
+            out = _Cut(primes % q, powers, int(np.searchsorted(primes, p_min)), self._l_values(s, group))
             self._cut_cache[key] = out
         return out
 
@@ -432,14 +439,17 @@ class LSeries:
         if out is not None:
             return out
         cut = self._cut(s, chi.group, p_min)
+        terms = zip(chi.group.values[chi.index].take(cut.cols).tolist(), cut.powers)
         factor = 1 + 0j
+        for c, z in islice(terms, cut.start):  # below P: removed, not added back
+            factor *= 1 - c * z
         add_back = 0j
-        for c, p, z in zip(cut.chi_p[chi.index].tolist(), cut.primes, cut.powers):
+        for c, z in terms:
             t = 1 - c * z
             factor *= t
-            if p >= p_min:
-                add_back += -cmath.log(t)
-        main = ValueWithBound(cut.l_values[chi.index] * factor, cut.l_bound * abs(factor)).log()
+            add_back -= cmath.log(t)
+        values, bound = cut.l_values
+        main = ValueWithBound(values[chi.index] * factor, bound * abs(factor)).log()
         out = ValueWithBound(main.value + add_back, main.bound)
         self._logl_cache[key] = out
         return out

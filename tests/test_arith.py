@@ -144,15 +144,6 @@ def test_mobius_phi_reject_zero():
         euler_phi(0)
 
 
-def test_mobius_is_cached_and_still_refuses_on_every_call():
-    mobius.cache_clear()
-    assert [mobius(n) for n in (1, 2, 4, 6, 30, 6)] == [1, -1, 0, 1, -1, 1]
-    assert mobius.cache_info().hits == 1
-    for _ in range(2):  # a refusal is not cached
-        with pytest.raises(InvalidArgumentError):
-            mobius(-3)
-
-
 def test_divisor_sum_identities():
     for n in range(1, 10**4 + 1):
         ds = divisors(n)

@@ -275,8 +275,9 @@ def test_add_back_between_p_and_the_branch_threshold(ls6, q):
 
 
 def test_a_second_row_at_one_cut_reuses_its_l_product_and_prime_powers(primes_1e6, monkeypatch):
-    # the L values of every row, and the primes below P0 with their p^-s, are
-    # built once per (s, q, P); a miss for another row runs only its own factors
+    # the L values of every row are built once per (s, q), and the primes below
+    # P0 with their p^-s once per (s, q, P); a miss for another row runs only
+    # its own factors
     from apeuler import LSeries, lseries
     from apeuler.arith import PrimeTable
 
@@ -292,10 +293,34 @@ def test_a_second_row_at_one_cut_reuses_its_l_product_and_prime_powers(primes_1e
     for chi in chars:
         ls.log_truncated_l(s, chi, 2)
     assert (products, prime_lists) == ([s], [6])
-    ls.log_truncated_l(s, chars[1], 3)  # another P is another entry
-    assert (products, prime_lists) == ([s, s], [6, 6])
-    assert ls.dirichlet_l(s, chars[2]).value == dirichlet_l(s, chars[2]).value
-    assert products == [s, s, s, s]  # both dirichlet_l go through the all-row product
+    ls.log_truncated_l(s, chars[1], 3)  # another P is another cut entry, with the same L values
+    assert (products, prime_lists) == ([s], [6, 6])
+    for chi in chars:  # LSeries.dirichlet_l reads the same cached L values
+        assert ls.dirichlet_l(s, chi).value == pytest.approx(dirichlet_l(s, chi).value, rel=1e-15, abs=0)
+    assert products == [s] * 5  # the module dirichlet_l forms one row per call
+
+
+def test_a_cut_near_sigma_one_holds_its_primes_not_a_table_of_them(primes_1e6):
+    # at sigma = 1.15 the branch cut P0 is about 6.3e5, with about 51,000 primes
+    # below it; a phi(q) x pi(P0) table of chi(p) would take 16 kB per prime at q = 1009
+    import tracemalloc
+
+    from apeuler import LSeries
+
+    q, s = 1009, 1.15 + 0j
+    group = character_group(q)
+    group.values  # the phi(q) x q table and the Hurwitz vector are built before the trace
+    ls = LSeries(primes_1e6)
+    ls.fill_residues([s], q)
+    tracemalloc.start()
+    try:
+        ls.log_truncated_l(s, group.characters[1], 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(ls._cut_cache[(s, q, 2)].cols)
+    assert n > 50_000
+    assert peak < 256 * n
 
 
 @given(
