@@ -52,7 +52,7 @@ from .witt import (
 _U = 2.0**-53
 # Largest prime cut X_j summed directly; an exponent needing more goes to y_p.
 _DIRECT_CAP = 10**4
-# Largest (exponent, prime) block of the direct sum evaluated at once.
+# Largest (exponent, prime) block of the direct sums' running sums formed at once.
 _DIRECT_BLOCK = 1 << 11
 # Necklace plan shape -> (multi-indices, M(m)); at most _NECKLACE_ROWS_MAX rows in all.
 _NECKLACE_SHAPES: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -229,39 +229,51 @@ def _direct_sums(
     """sum_{P <= p <= X_j, p = a mod q} log(1 - p^-s_j) for each s_j in exps, X_j in xs, with bounds.
 
     With z = r e^(i theta), log(1 - z) is formed as (1/2) log1p(r^2 - 2 Re z) +
-    i atan2(-Im z, 1 - Re z): complex log1p loses small arguments.  The bound
-    is the tail past X_j plus rounding.  Allowing 4 ulp per libm call, a cell
-    is off by at most u r (20 |s_j| log p + 40); a row, summed from its smallest
-    cell, adds u sum_k (|Re S_k| + |Im S_k|) over its partial sums S_k; the
-    caller's product with c_j and its fsum add 8 u sum r.  Each cell adds
-    2^-1000 for underflow.
+    i atan2(-Im z, 1 - Re z): complex log1p loses small arguments.  When every
+    s_j is real, theta is 0, so Re z is exactly r and the imaginary part of
+    every cell exactly 0: only the real part is formed.  The cells are formed
+    in one pass over the (s_j, p) pairs that are summed, with no padding.
+    Each row is summed from its smallest cell; the running sums are taken in
+    blocks of rows of adjacent widths, widest first, each row zero-padded at
+    its start to its block's width.
+
+    The bound is the tail past X_j plus rounding.  Allowing 4 ulp per libm
+    call, a cell is off by at most u r (20 |s_j| log p + 40); a row, summed
+    from its smallest cell, adds u sum_k (|Re S_k| + |Im S_k|) over its
+    partial sums S_k; the caller's product with c_j and its fsum add 8 u sum r.
+    Each cell adds 2^-1000 for underflow.
     """
     ps = primes.in_range(p_min, int(xs.max()))
     ps = ps[ps % q == a % q]
     logp = np.log(ps.astype(float))
     counts = np.searchsorted(ps, xs, side="right")
-    values = np.zeros(len(xs), dtype=complex)
-    rounding = np.zeros(len(xs))
-    order = np.argsort(-xs, kind="stable")  # a block's first row is its widest
-    i = 0
-    while i < len(order) and counts[order[i]]:
-        width = counts[order[i]]
-        rows = order[i : i + max(1, _DIRECT_BLOCK // width)]
-        i += len(rows)
-        s = exps[rows, None]
-        r = np.where(
-            np.arange(width) < counts[rows, None], np.exp(-s.real * logp[:width]), 0.0
-        )
-        theta = -s.imag * logp[:width]
+    order = np.argsort(-counts, kind="stable")  # widest row first
+    widths = counts[order]
+    ends = np.cumsum(widths)
+    row = np.repeat(order, widths)  # per cell; a row's cells run from its largest prime down
+    lp = logp[np.repeat(ends - 1, widths) - np.arange(ends[-1])]
+    s = exps[row]
+    r = np.exp(-s.real * lp)
+    if not exps.imag.any():
+        cells = 0.5 * np.log1p(r * r - 2 * r)
+    else:
+        theta = -s.imag * lp
         re, im = r * np.cos(theta), r * np.sin(theta)
         cells = 0.5 * np.log1p(r * r - 2 * re) + 1j * np.arctan2(-im, 1 - re)
-        partial = cells[:, ::-1].cumsum(axis=1)
-        values[rows] = partial[:, -1]
-        rounding[rows] = (
-            20 * np.abs(exps[rows]) * (r @ logp[:width])
-            + 48 * r.sum(axis=1)
-            + (np.abs(partial.real) + np.abs(partial.imag)).sum(axis=1)
-        )
+    values = np.zeros(len(xs), dtype=complex)
+    spread = np.zeros(len(xs))  # sum_k |Re S_k| + |Im S_k| per row
+    i, live = 0, int(np.count_nonzero(widths))
+    while i < live:
+        width = int(widths[i])
+        j = min(live, i + max(1, _DIRECT_BLOCK // width))
+        block = np.zeros((j - i, width), dtype=cells.dtype)
+        # each row right-aligned: its padding first, then its cells from the smallest
+        block[np.arange(width) >= width - widths[i:j, None]] = cells[ends[i] - width : ends[j - 1]]
+        partial = block.cumsum(axis=1)
+        values[order[i:j]] = partial[:, -1]
+        spread[order[i:j]] = np.abs(partial.view(float)).sum(axis=1)
+        i = j
+    rounding = np.bincount(row, r * (20 * np.abs(s) * lp + 48), len(xs)) + spread
     sigma = exps.real
     tails = 2 * sigma / (sigma - 1) * np.exp((1 - sigma) * np.log(xs + 1.0))
     return values, tails + _U * rounding + counts * 2.0**-1000
@@ -277,7 +289,8 @@ def _branch_fits(sigma: float, p_min: int, ls: LSeries) -> bool:
 
 
 def _execute(
-    plan: dict[complex, complex], fixed: float, q: int, a: int, p_min: int, depth: int, ls: LSeries
+    plan: dict[complex, complex], fixed: float, q: int, a: int, p_min: int, depth: int, ls: LSeries,
+    front: tuple[complex, ...] = (),
 ) -> ProductResult:
     """sum_j c_j y_p(s_j) over a term plan {s_j: c_j}, plus the plan's fixed bound.
 
@@ -287,8 +300,9 @@ def _execute(
 
     Before the first y_p, every ell * s_j those calls evaluate (s_j a routed
     exponent, ell a depth with nonzero unsieve weights) goes to
-    ``LSeries.fill_residues`` in one call, so all their zeta(s, r/q) vectors
-    come from one batched Euler-Maclaurin pass.  The batch stops short of the
+    ``LSeries.fill_residues`` in one call, after the ``front`` exponents (Re s
+    > 1) whose vectors mod q the caller reads afterwards, so all their
+    zeta(s, r/q) vectors come from one batched Euler-Maclaurin pass.  The batch stops short of the
     first s_j that y_p refuses (Re s_j <= 1, or a branch threshold past the
     prime table): that refusal is still raised by y_p, in plan order, with
     its exit code and message, and nothing past it is evaluated.
@@ -306,14 +320,14 @@ def _execute(
     direct = cuts > 0
     floor = _U * float(np.abs(coeffs[~direct]).sum())
     routed = exps[~direct].tolist()
+    batch = list(front)
     if routed:
         ells = [ell for ell, rows, _ in character_group(q).unsieve_weights(a, depth) if rows]
-        batch = []
         for s in routed:
             if s.real <= 1 or not _branch_fits(s.real, p_min, ls):
                 break  # y_p refuses s below, in plan order
             batch += [ell * s for ell in ells]
-        ls.fill_residues(batch, q)
+    ls.fill_residues(batch, q)
     total = 0j
     bound = fixed
     for s, c in zip(routed, coeffs[~direct].tolist()):
@@ -504,15 +518,15 @@ def continuation_demo(
         raise InvalidArgumentError("n_max must be >= 3")
     if depth < 2:
         raise InvalidArgumentError("L must be >= 2")
-    ls.fill_residues((2 * s - 1, 2 * s, s), 1)  # the three front factors in one pass
+    plan, fixed = _necklace_plan(_DEMO_TERMS, s, ("demo", n_max), 2, depth)
+    exps = np.array(list(plan), dtype=complex)
+    fixed += float(np.abs(list(plan.values())) @ 2.0 ** (-depth * exps.real))  # P^(-L Re s_j)
+    # the three front factors join the plan's Hurwitz pass, ahead of its exponents
+    res = _execute(plan, fixed, 1, 1, 2, depth, ls, front=(2 * s - 1, 2 * s, s))
     z1 = ls.zeta(2 * s - 1).log()
     z2 = ls.zeta(2 * s).log()
     z3 = ls.zeta(s).log()
     log_total = z3 + z1.scaled(-1) + z2.scaled(-1)
-    plan, fixed = _necklace_plan(_DEMO_TERMS, s, ("demo", n_max), 2, depth)
-    exps = np.array(list(plan), dtype=complex)
-    fixed += float(np.abs(list(plan.values())) @ 2.0 ** (-depth * exps.real))  # P^(-L Re s_j)
-    res = _execute(plan, fixed, 1, 1, 2, depth, ls)
     acc = log_total.value + res.log_value
     bnd = log_total.bound + res.total_bound + _demo_tail_majorant(s.real, n_max)
     return ValueWithBound(acc, bnd).exp()

@@ -9,19 +9,21 @@ for large Re s do include theirs.
 
 ``EvalParams`` holds that target alone; the Euler-Maclaurin (N, M) search
 starts and stops at fixed module constants.  One kernel, ``_hurwitz_em``,
-evaluates a stack of (s, x) rows; ``_hurwitz_grid`` chooses (N, M) per
-exponent and makes one kernel call per (N, M) group.  ``LSeries`` keeps four
-caches: the Hurwitz residue vector per (s, q), filled for a whole list of
-exponents in one such pass; the L values of every character row per (s, q),
-one table product with that vector; per (s, q, P), the part of a truncated
-log-L miss that no row owns (the branch cut, and the primes below it as their
-columns mod q with p^-s), O(pi(P0)) in size; and the truncated log-L per
-(s, q, row, P).
+evaluates every (s, x) of a list of distinct exponents and a list of x;
+``_hurwitz_grid`` chooses (N, M) for all its exponents in one array search,
+``_choose_em``, and makes one kernel call per (N, M) among them.  ``LSeries``
+keeps four caches: the Hurwitz residue vector per (s, q), filled for a whole
+list of exponents in one such pass and placed in one array operation; the L
+values of every character row per (s, q), one table product with that
+vector; per (s, q, P), the part of a truncated log-L miss that no row owns
+(the branch cut, and the primes below it as their columns mod q with p^-s),
+O(pi(P0)) in size; and the truncated log-L per (s, q, row, P).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -107,93 +109,102 @@ def _log_abs_fraction(fr) -> float:
     return math.log(abs(fr.numerator)) - math.log(fr.denominator)
 
 
-def _choose_em(s: complex, x: float, params: EvalParams) -> tuple[int, int]:
-    """Pick (N, M) so the Euler-Maclaurin remainder majorant is <= target_eps.
+@functools.cache
+def _em_table() -> np.ndarray:
+    """Rows B_2j / (2j)!, log|B_2j| and log (2j)! for j = 0.._MAX_ORDER + 1, as floats.
+
+    Built on first use, so importing the module stays cheap.  Each entry is
+    formed as it was formed per call before (``float(B) / (2j)!``,
+    ``_log_abs_fraction``, ``math.lgamma``), so reading it changes no bit.
+    """
+    js = range(_MAX_ORDER + 2)
+    table = np.array([
+        [float(_BERNOULLI[2 * j]) / math.factorial(2 * j) for j in js],
+        [_log_abs_fraction(_BERNOULLI[2 * j]) for j in js],
+        [math.lgamma(2 * j + 1) for j in js],
+    ])
+    table.flags.writeable = False
+    return table
+
+
+def _choose_em(exps: np.ndarray, x: float, params: EvalParams) -> tuple[np.ndarray, np.ndarray]:
+    """Pick (N, M) per exponent so the Euler-Maclaurin remainder majorant is <= target_eps at x.
 
     The remainder bound is K(M) * (N + x)^(-sigma - 2M - 1) with
     K(M) = (|s+2M+1| / (sigma+2M+1)) * |B_{2M+2}| / (2M+2)! * |(s)_{2M+1}|,
-    so for each M the needed N is solved directly in log space.
+    so for each M the needed N is solved directly in log space, in one array
+    pass over every exponent and every M from _EM_ORDER to _MAX_ORDER.  Per
+    exponent the choice is the first M whose N is at most 4 * _EM_TERMS, or
+    failing that the first M with the smallest N within _MAX_TERMS; that is
+    where a scan upwards in M that keeps the smallest N and stops once it is
+    at most 4 * _EM_TERMS ends.  Returns N and M per exponent; both are 0
+    where no M gives an N within _MAX_TERMS.
     """
-    sigma = s.real
-    log_eps = math.log(params.target_eps)
-    best: tuple[int, int] | None = None
-    log_poch = 0.0
-    j = 0
-    for m in range(1, _MAX_ORDER + 1):
-        while j < 2 * m + 1:
-            log_poch += math.log(abs(s + j))
-            j += 1
-        if m < _EM_ORDER:
-            continue
-        log_k = (
-            math.log(abs(s + 2 * m + 1))
-            - math.log(sigma + 2 * m + 1)
-            + _log_abs_fraction(_BERNOULLI[2 * m + 2])
-            - math.lgamma(2 * m + 3)
-            + log_poch
-        )
-        t = (log_k - log_eps) / (sigma + 2 * m + 1)
-        need = math.ceil(math.exp(min(t, 50.0)) - x) + 1 if t > 0 else 1
-        n = max(_EM_TERMS, need)
-        if n <= _MAX_TERMS and (best is None or n < best[0]):
-            best = (n, m)
-        if best is not None and best[0] <= 4 * _EM_TERMS:
-            break
-    if best is None:
-        raise PrecisionUnreachableError(
-            f"Euler-Maclaurin cannot reach eps={params.target_eps} within ceilings"
-        )
-    return best
+    _, log_b, log_fact = _em_table()
+    orders = slice(_EM_ORDER + 1, _MAX_ORDER + 2)  # j = M + 1
+    z = exps[:, None] + np.arange(2 * _MAX_ORDER + 1)  # s + j
+    evens = slice(2 * _EM_ORDER, 2 * _MAX_ORDER + 1, 2)  # j = 2M
+    log_poch = np.cumsum(np.log(np.abs(z)), axis=1)[:, evens]  # summed in order of j, from 0 to 2M
+    top = z[:, evens] + 1  # s + 2M + 1, rounded as (s + 2M) + 1
+    log_k = np.log(np.abs(top)) - np.log(top.real) + log_b[orders] - log_fact[orders] + log_poch
+    t = (log_k - math.log(params.target_eps)) / top.real
+    # N = max(_EM_TERMS, ceil(e^t - x) + 1); for t <= 0 (or NaN) that is _EM_TERMS
+    n = np.fmax(_EM_TERMS, np.ceil(np.exp(np.minimum(t, 50.0)) - x) + 1)
+    n[n > _MAX_TERMS] = np.inf  # no N within the ceiling at this M
+    small = n <= 4 * _EM_TERMS
+    k = np.where(small.any(axis=1), small.argmax(axis=1), n.argmin(axis=1))
+    n = n[np.arange(len(exps)), k]
+    found = n <= _MAX_TERMS
+    return np.where(found, n, 0).astype(np.int64), np.where(found, k + _EM_ORDER, 0)
 
 
 def _hurwitz_em(
-    s: complex | np.ndarray, xs: np.ndarray, n_terms: int, order: int
+    exps: np.ndarray, xs: np.ndarray, n_terms: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maclaurin values of zeta(s_i, x_i) for every row i, with explicit (N, M).
+    """Euler-Maclaurin values of zeta(s, x) for every s in ``exps`` and x in ``xs``, with explicit (N, M).
 
-    ``s`` holds one exponent per x in ``xs``; a scalar serves every x.  The
-    factors that depend on s alone are formed once per distinct exponent: the
-    Pochhammer symbols in Python's complex arithmetic, as a one-exponent call
-    forms them, and the log of the remainder constant K(M) in one array
-    expression whose rows do not mix.  So each row comes out bit for bit as
-    it would alone.  Returns the values and, per row, the remainder majorant.
+    Returns the values and the remainder majorants as (len(exps), len(xs))
+    arrays.  log(k + x) is formed once per x, and the factors that depend on
+    s alone once per exponent: the Pochhammer symbols in Python's complex
+    arithmetic (numpy's complex product may fuse a multiply-add, and at the
+    few exponents of a call array passes cost more), the log of the
+    remainder constant K(M) in one array expression whose rows do not mix.
+    So each (s, x) comes out bit for bit as it would alone.
     """
-    uniq, inv = np.unique(np.broadcast_to(np.asarray(s, dtype=complex), xs.shape), return_inverse=True)
-    exps = uniq.tolist()
-    s = uniq[inv]
-    block = max(1, _BLOCK_ELEMS // n_terms)  # rows of the (row, n) grid summed at once
+    s = exps[:, None]
     k = np.arange(n_terms, dtype=float)
-    value = np.concatenate([
-        np.exp(-s[i : i + block, None] * np.log(k + xs[i : i + block, None])).sum(axis=1)
-        for i in range(0, len(xs), block)
-    ])
+    value = np.empty((len(exps), len(xs)), dtype=complex)
+    x_block = max(1, _BLOCK_ELEMS // n_terms)  # the (x, n) grid of logs held at once
+    s_block = max(1, _BLOCK_ELEMS // (n_terms * min(x_block, len(xs))))
+    for j in range(0, len(xs), x_block):
+        logs = np.log(k + xs[j : j + x_block, None])
+        for i in range(0, len(exps), s_block):
+            value[i : i + s_block, j : j + x_block] = np.exp(-s[i : i + s_block, :, None] * logs).sum(axis=2)
     w = xs + n_terms
     logw = np.log(w)
     value += np.exp((1 - s) * logw) / (s - 1) + 0.5 * np.exp(-s * logw)
 
+    b_fact, log_b, log_fact = _em_table()
     coeffs = []  # per j: B_2j / (2j)! * (s)_{2j-1}, per exponent
-    poch = exps
-    for jj in range(1, order + 1):
-        b = float(_BERNOULLI[2 * jj]) / math.factorial(2 * jj)
+    poch = listed = exps.tolist()
+    for jj, b in enumerate(b_fact[1 : order + 1].tolist(), 1):
         coeffs.append([b * p for p in poch])
-        poch = [p * ((e + 2 * jj - 1) * (e + 2 * jj)) for p, e in zip(poch, exps)]
+        poch = [p * ((e + 2 * jj - 1) * (e + 2 * jj)) for p, e in zip(poch, listed)]
     wpow = np.exp((-s - 1) * logw)  # w^(-s-2j+1) for the current j
     w_inv2 = w**-2.0
-    for c in np.array(coeffs, dtype=complex).reshape(order, len(exps))[:, inv]:
+    for c in np.array(coeffs, dtype=complex)[:, :, None]:
         value += c * wpow
         wpow *= w_inv2
     # remainder majorant, in log space to dodge overflow
-    log_b = _log_abs_fraction(_BERNOULLI[2 * order + 2])
-    log_fact = math.lgamma(2 * order + 3)
     top = 2 * order + 1
     log_k = (
-        np.log(np.abs(uniq + top))
-        - np.log(uniq.real + top)
-        + log_b
-        - log_fact
-        + np.log(np.abs(uniq[:, None] + np.arange(top))).sum(axis=1)
+        np.log(np.abs(exps + top))
+        - np.log(exps.real + top)
+        + log_b[order + 1]
+        - log_fact[order + 1]
+        + np.log(np.abs(s + np.arange(top))).sum(axis=1)
     )
-    log_bound = log_k[inv] - (s.real + top) * logw
+    log_bound = log_k[:, None] - (s.real + top) * logw
     return value, np.exp(np.minimum(log_bound, 700.0))
 
 
@@ -202,33 +213,33 @@ def _hurwitz_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """zeta(s, x) and remainder bounds for every s in ``exps`` and x in ``xs`` (in (0, 1]).
 
-    Both arrays have one row per exponent.  (N, M) is chosen per s at the
-    smallest x, where the most terms are needed, and the exponents that share
-    an (N, M) are stacked into one kernel call.  The remainder majorant is
-    still checked against target_eps per (s, x); a refusal is raised for the
-    first s, in order, that fails.
+    Both arrays have one row per exponent.  One array search chooses (N, M)
+    for every s at the smallest x, where the most terms are needed, and the
+    exponents that share an (N, M) go to one kernel call.  The remainder
+    majorant is still checked against target_eps per (s, x); a refusal is
+    raised for the first s, in order, that fails.
     """
-    x_min = float(xs.min())
+    stacked = np.array(exps, dtype=complex)
+    n, m = _choose_em(stacked, float(xs.min()), params)
     values = np.zeros((len(exps), len(xs)), dtype=complex)
     bounds = np.zeros((len(exps), len(xs)))
-    groups: dict[tuple[int, int], list[int]] = {}
-    errors: dict[int, Exception] = {}
-    for i, s in enumerate(exps):
-        try:
-            groups.setdefault(_choose_em(s, x_min, params), []).append(i)
-        except PrecisionUnreachableError as e:
-            errors[i] = e
-    stacked = np.array(exps, dtype=complex)
-    for (n, m), rows in groups.items():
-        v, b = _hurwitz_em(np.repeat(stacked[rows], len(xs)), np.tile(xs, len(rows)), n, m)
-        values[rows] = v.reshape(len(rows), len(xs))
-        bounds[rows] = b.reshape(len(rows), len(xs))
-    for i in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
-        errors.setdefault(i, OutOfDomainError("non-finite value"))
-    for i in np.flatnonzero((bounds > params.target_eps).any(axis=1)).tolist():
-        errors.setdefault(i, PrecisionUnreachableError("remainder bound exceeds target_eps"))
-    if errors:
-        raise errors[min(errors)]
+    groups, which = np.unique(n * (_MAX_ORDER + 1) + m, return_inverse=True)  # one key per (N, M)
+    for g, key in enumerate(groups.tolist()):
+        if key:  # key 0 is (0, 0): no (N, M) reaches target_eps
+            rows = np.flatnonzero(which == g)
+            values[rows], bounds[rows] = _hurwitz_em(stacked[rows], xs, *divmod(key, _MAX_ORDER + 1))
+    unreachable = n == 0
+    nonfinite = ~np.isfinite(values).all(axis=1)
+    bad = unreachable | nonfinite | (bounds > params.target_eps).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        if unreachable[i]:
+            raise PrecisionUnreachableError(
+                f"Euler-Maclaurin cannot reach eps={params.target_eps} within ceilings"
+            )
+        if nonfinite[i]:
+            raise OutOfDomainError("non-finite value")
+        raise PrecisionUnreachableError("remainder bound exceeds target_eps")
     return values, bounds
 
 
@@ -250,17 +261,15 @@ def _zeta_residues(
 
     Each vector comes with the sum of its remainder bounds.  Nothing here
     depends on the character, so one vector serves every L(s, chi) mod q; all
-    of ``exps`` are evaluated in one batched pass.
+    of ``exps`` are evaluated in one batched pass and placed in one array
+    operation, each vector a row of it.
     """
     r = np.arange(1, q + 1)
     r = r[np.gcd(r, q) == 1]
     values, bounds = _hurwitz_grid(exps, r / q, params)
-    out = []
-    for v, b in zip(values, bounds):
-        col = np.zeros(q, dtype=complex)
-        col[r % q] = v
-        out.append((col, float(b.sum())))
-    return out
+    cols = np.zeros((len(exps), q), dtype=complex)
+    cols[:, r % q] = values
+    return list(zip(cols, bounds.sum(axis=1).tolist()))
 
 
 def _l_rows(
@@ -449,7 +458,12 @@ class LSeries:
             factor *= t
             add_back -= cmath.log(t)
         values, bound = cut.l_values
-        main = ValueWithBound(values[chi.index] * factor, bound * abs(factor)).log()
-        out = ValueWithBound(main.value + add_back, main.bound)
+        # the log of the ball L * factor, as ValueWithBound.log forms it
+        v = values[chi.index] * factor
+        r = abs(v)
+        b = bound * abs(factor)
+        if b >= r:
+            raise PrecisionUnreachableError("log of a ball containing 0")
+        out = ValueWithBound(cmath.log(v) + add_back, -math.log1p(-b / r))
         self._logl_cache[key] = out
         return out

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apeuler import (
     APProductSpec,
@@ -341,6 +343,96 @@ def test_multi_term_one_y_p_call_per_exponent(ls6, monkeypatch):
     assert len(calls) == len(set(calls)) == 5
     assert len(direct) == len(set(direct)) == 155
     assert set(calls).isdisjoint(direct)
+
+
+def test_a_families_job_makes_one_hurwitz_fill(primes_1e6, bench_jobs, monkeypatch):
+    # every job of the benchmark's families pass (seed 1) evaluates all its
+    # Hurwitz vectors in one batched pass; a demo's three zeta front factors
+    # join its plan's exponents there
+    from apeuler import LSeries, lseries
+
+    fills = []
+    real = lseries._zeta_residues
+    monkeypatch.setattr(lseries, "_zeta_residues", lambda exps, q, params: fills.append(exps) or real(exps, q, params))
+    jobs = bench_jobs.families_jobs(1)
+    for mode, spec in jobs:
+        fills.clear()
+        bench_jobs.run_library(mode, spec, LSeries(primes_1e6))
+        assert len(fills) == 1, bench_jobs.key(mode, spec)
+    assert sum(mode == "demo" for mode, _ in jobs) == 4
+
+
+@pytest.mark.parametrize("s", [2 + 0j, 1.5 + 2j])
+def test_demo_front_factors_equal_zeta_on_a_fresh_series(primes_1e6, s):
+    from apeuler import LSeries
+
+    ls = LSeries(primes_1e6)
+    continuation_demo(s, 30, ls)
+    for arg in (2 * s - 1, 2 * s, s):
+        got, alone = ls.zeta(arg), LSeries(primes_1e6).zeta(arg)
+        assert (got.value, got.bound) == (alone.value, alone.bound)
+
+
+def _direct_sums_single_layout(exps, xs, q, a, p_min, primes):
+    """The direct sums as formed before cells were laid out per row, kept as the reference.
+
+    Rows are sorted by X_j and cut into blocks of at most _DIRECT_BLOCK cells,
+    each block as wide as its widest row; every cell, padding included, is
+    formed as a complex log.
+    """
+    ps = primes.in_range(p_min, int(xs.max()))
+    ps = ps[ps % q == a % q]
+    logp = np.log(ps.astype(float))
+    counts = np.searchsorted(ps, xs, side="right")
+    values = np.zeros(len(xs), dtype=complex)
+    rounding = np.zeros(len(xs))
+    order = np.argsort(-xs, kind="stable")
+    i = 0
+    while i < len(order) and counts[order[i]]:
+        width = counts[order[i]]
+        rows = order[i : i + max(1, engine._DIRECT_BLOCK // width)]
+        i += len(rows)
+        s = exps[rows, None]
+        r = np.where(np.arange(width) < counts[rows, None], np.exp(-s.real * logp[:width]), 0.0)
+        theta = -s.imag * logp[:width]
+        re, im = r * np.cos(theta), r * np.sin(theta)
+        cells = 0.5 * np.log1p(r * r - 2 * re) + 1j * np.arctan2(-im, 1 - re)
+        partial = cells[:, ::-1].cumsum(axis=1)
+        values[rows] = partial[:, -1]
+        rounding[rows] = (
+            20 * np.abs(exps[rows]) * (r @ logp[:width])
+            + 48 * r.sum(axis=1)
+            + (np.abs(partial.real) + np.abs(partial.imag)).sum(axis=1)
+        )
+    sigma = exps.real
+    tails = 2 * sigma / (sigma - 1) * np.exp((1 - sigma) * np.log(xs + 1.0))
+    return values, tails + engine._U * rounding + counts * 2.0**-1000
+
+
+_DIRECT_ROWS = st.lists(
+    st.tuples(
+        st.floats(min_value=1.5, max_value=40.0),
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-60.0, max_value=60.0)),
+        st.one_of(st.integers(0, 40), st.integers(0, 10**4)),  # X_j - P: narrow rows and up to 1,229 primes
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(qa=st.sampled_from([(1, 1), (4, 3), (5, 2), (8, 5)]), p_min=st.sampled_from([2, 3, 7, 11]), rows=_DIRECT_ROWS)
+@example(qa=(4, 3), p_min=2, rows=[(2.0, 0.0, 0)])  # no prime = 3 mod 4 in [2, 2]: a row of width 0
+@example(qa=(1, 1), p_min=2, rows=[(3.0, 0.0, 9998), (2.5, -0.0, 3), (4.0, 1.5, 40), (6.0, 0.0, 0)])
+@example(qa=(5, 2), p_min=3, rows=[(3.0, -0.0, 500), (2.0, 0.0, 20)])  # real rows only, one Im s = -0.0
+@settings(max_examples=60, deadline=None)
+def test_direct_sums_match_the_single_layout_formula(primes_1e6, qa, p_min, rows):
+    q, a = qa
+    exps = np.array([complex(sigma, t) for sigma, t, _ in rows])
+    xs = np.array([p_min + dx for _, _, dx in rows], dtype=np.int64)
+    values, bounds = engine._direct_sums(exps, xs, q, a, p_min, primes_1e6)
+    ref_values, ref_bounds = _direct_sums_single_layout(exps, xs, q, a, p_min, primes_1e6)
+    assert values.view(np.int64).tolist() == ref_values.view(np.int64).tolist()  # signed zeros too
+    assert bounds == pytest.approx(ref_bounds, rel=1e-12, abs=0)
 
 
 def test_small_prime_table_falls_back_to_y_p(ls6, monkeypatch):

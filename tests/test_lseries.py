@@ -80,9 +80,10 @@ def test_bound_honesty_doubled_parameters():
     for s in GRID_S:
         for x in (1.0, 0.5, 0.25):
             params = EvalParams()
-            n, m = _choose_em(s, x, params)
-            (base,), (base_bound,) = _hurwitz_em(s, np.array([x]), n, m)
-            (refined,), _ = _hurwitz_em(s, np.array([x]), 2 * n, min(m + 4, 60))
+            s_x = np.array([s]), np.array([x])
+            n, m = (int(c[0]) for c in _choose_em(s_x[0], x, params))
+            ((base,),), ((base_bound,),) = _hurwitz_em(*s_x, n, m)
+            ((refined,),), _ = _hurwitz_em(*s_x, 2 * n, min(m + 4, 60))
             assert abs(base - refined) <= base_bound + 1e-13
 
 
@@ -94,37 +95,37 @@ _EXPONENT = st.builds(
 _X = st.floats(min_value=1e-3, max_value=1.0)
 
 
-@given(
-    rows=st.lists(st.tuples(_EXPONENT, _X), min_size=1, max_size=8),
-    n_terms=st.integers(16, 300),
-    order=st.integers(4, 12),
-)
-@settings(max_examples=60, deadline=None)
-def test_stacked_kernel_rows_equal_one_exponent_calls(rows, n_terms, order):
-    s, x = (np.array(c) for c in zip(*rows))
-    values, bounds = _hurwitz_em(s, x, n_terms, order)
-    for i, (si, xi) in enumerate(rows):
-        (v,), (b,) = _hurwitz_em(si, np.array([xi]), n_terms, order)
-        assert values[i] == v and bounds[i] == b
+_EXPONENTS = st.lists(_EXPONENT, min_size=1, max_size=8, unique=True)
+_XS = st.lists(_X, min_size=1, max_size=5)
 
 
-@given(rows=st.lists(st.tuples(_EXPONENT, _X), min_size=1, max_size=8), order=st.integers(4, 12))
+@given(exps=_EXPONENTS, xs=_XS, n_terms=st.integers(16, 300), order=st.integers(4, 12))
 @settings(max_examples=60, deadline=None)
-def test_remainder_majorant_matches_the_per_exponent_formula(rows, order):
+def test_stacked_kernel_rows_equal_one_exponent_calls(exps, xs, n_terms, order):
+    values, bounds = _hurwitz_em(np.array(exps), np.array(xs), n_terms, order)
+    for i, si in enumerate(exps):
+        for j, xj in enumerate(xs):
+            ((v,),), ((b,),) = _hurwitz_em(np.array([si]), np.array([xj]), n_terms, order)
+            assert values[i, j] == v and bounds[i, j] == b
+
+
+@given(exps=_EXPONENTS, xs=_XS, order=st.integers(4, 12))
+@settings(max_examples=60, deadline=None)
+def test_remainder_majorant_matches_the_per_exponent_formula(exps, xs, order):
     # log K(M) = log|s+2M+1| - log(sigma+2M+1) + log|B_2M+2| - log (2M+2)! + sum_j<2M+1 log|s+j|
     from apeuler.lseries import _BERNOULLI, _log_abs_fraction
 
-    s, x = (np.array(c) for c in zip(*rows))
-    _, bounds = _hurwitz_em(s, x, 16, order)
+    _, bounds = _hurwitz_em(np.array(exps), np.array(xs), 16, order)
     top = 2 * order + 1
-    for (si, xi), b in zip(rows, bounds):
+    for si, row in zip(exps, bounds):
         log_k = (
             math.log(abs(si + top)) - math.log(si.real + top)
             + _log_abs_fraction(_BERNOULLI[2 * order + 2]) - math.lgamma(2 * order + 3)
             + sum(math.log(abs(si + j)) for j in range(top))
         )
-        ref = math.exp(min(log_k - (si.real + top) * math.log(xi + 16), 700.0))
-        assert b == pytest.approx(ref, rel=1e-12)
+        for xj, b in zip(xs, row):
+            ref = math.exp(min(log_k - (si.real + top) * math.log(xj + 16), 700.0))
+            assert b == pytest.approx(ref, rel=1e-12)
 
 
 @given(exps=st.lists(_EXPONENT, min_size=2, max_size=6, unique=True), xs=st.lists(_X, min_size=1, max_size=5))
@@ -139,6 +140,85 @@ def test_batched_grid_equals_one_exponent_grids(exps, xs):
         assert v.tolist() == one_v.tolist() and b.tolist() == one_b.tolist()
 
 
+def _choose_em_scalar(s: complex, x: float, params: EvalParams) -> tuple[int, int]:
+    """The per-exponent (N, M) search the array search replaced, kept as its reference.
+
+    (0, 0) stands for its refusal: no M gives an N within the ceiling.
+    """
+    from apeuler.lseries import _BERNOULLI, _EM_ORDER, _EM_TERMS, _MAX_ORDER, _MAX_TERMS, _log_abs_fraction
+
+    sigma = s.real
+    log_eps = math.log(params.target_eps)
+    best = None
+    log_poch = 0.0
+    j = 0
+    for m in range(1, _MAX_ORDER + 1):
+        while j < 2 * m + 1:
+            log_poch += math.log(abs(s + j))
+            j += 1
+        if m < _EM_ORDER:
+            continue
+        log_k = (
+            math.log(abs(s + 2 * m + 1))
+            - math.log(sigma + 2 * m + 1)
+            + _log_abs_fraction(_BERNOULLI[2 * m + 2])
+            - math.lgamma(2 * m + 3)
+            + log_poch
+        )
+        t = (log_k - log_eps) / (sigma + 2 * m + 1)
+        need = math.ceil(math.exp(min(t, 50.0)) - x) + 1 if t > 0 else 1
+        n = max(_EM_TERMS, need)
+        if n <= _MAX_TERMS and (best is None or n < best[0]):
+            best = (n, m)
+        if best is not None and best[0] <= 4 * _EM_TERMS:
+            break
+    return best or (0, 0)
+
+
+def _search_matches_the_scalar_search(exps, x, params):
+    n, m = _choose_em(np.array(exps, dtype=complex), x, params)
+    assert list(zip(n.tolist(), m.tolist())) == [_choose_em_scalar(s, x, params) for s in exps]
+
+
+@given(
+    exps=st.lists(
+        st.builds(
+            complex,
+            st.floats(min_value=1.0, max_value=80.0, exclude_min=True),
+            st.one_of(st.just(0.0), st.floats(min_value=-3000.0, max_value=3000.0)),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    x=st.one_of(st.integers(1, 2003).map(lambda q: 1 / q), _X),
+    eps=st.sampled_from([1e-14, 1e-10, 1e-20, 1e-300]),
+)
+@example(exps=[2 + 1e6j, 60 + 0j, 2 + 0j], x=1.0, eps=1e-300)  # 2 + 1e6 i: no (N, M) reaches 1e-300
+@settings(max_examples=200, deadline=None)
+def test_batched_search_matches_the_scalar_search(exps, x, eps):
+    _search_matches_the_scalar_search(exps, x, EvalParams(target_eps=eps))
+
+
+def test_batched_search_matches_the_scalar_search_on_every_golden_exponent(primes_1e6, bench_jobs, monkeypatch):
+    from apeuler import LSeries
+    from apeuler import lseries
+
+    searched = []  # per array search: its exponents, its x and its params
+    batched = lseries._choose_em
+
+    def recording(exps, x, params):
+        searched.append((exps.tolist(), x, params))
+        return batched(exps, x, params)
+
+    monkeypatch.setattr(lseries, "_choose_em", recording)
+    ls = LSeries(primes_1e6)  # shared: each (s, q) is searched once, at x = 1/q
+    for mode, spec in bench_jobs.golden_jobs():
+        bench_jobs.run_library(mode, spec, ls)
+    assert sum(len(exps) for exps, _, _ in searched) > 100  # 129 distinct (s, q) when written
+    for exps, x, params in searched:
+        _search_matches_the_scalar_search(exps, x, params)
+
+
 def test_batched_grid_raises_the_first_refusal_in_order(monkeypatch):
     from apeuler import lseries
 
@@ -148,7 +228,7 @@ def test_batched_grid_raises_the_first_refusal_in_order(monkeypatch):
 
     def planting(s, x, n_terms, order):
         values, bounds = kernel(s, x, n_terms, order)
-        return np.where(s == 60, np.nan, values), bounds
+        return np.where(s[:, None] == 60, np.nan, values), bounds
 
     monkeypatch.setattr(lseries, "_hurwitz_em", planting)
     params = EvalParams(target_eps=1e-300)
@@ -367,13 +447,13 @@ def test_hurwitz_kernel_runs_once_per_exponent(primes_1e6, monkeypatch):
     kernel = lseries._hurwitz_em
 
     def counting(s, xs, n_terms, order):
-        exps, rows = np.unique(s, return_counts=True)
-        calls.append(((n_terms, order), dict(zip(exps.tolist(), rows.tolist()))))
+        assert len(set(s.tolist())) == len(s)  # the kernel is handed distinct exponents
+        calls.append(((n_terms, order), dict.fromkeys(s.tolist(), len(xs))))
         return kernel(s, xs, n_terms, order)
 
     def check(q, exponents):
         # one call per (N, M) among the exponents; each residue vector computed once
-        groups = {_choose_em(e, 1 / q, EvalParams()) for e in exponents}
+        groups = set(zip(*(c.tolist() for c in _choose_em(np.array(list(exponents)), 1 / q, EvalParams()))))
         assert sorted(nm for nm, _ in calls) == sorted(groups)
         seen = [e for _, rows in calls for e in rows]
         assert Counter(seen) == Counter(exponents)
