@@ -137,8 +137,10 @@ def _choose_em(exps: np.ndarray, x: float, params: EvalParams) -> tuple[np.ndarr
     exponent the choice is the first M whose N is at most 4 * _EM_TERMS, or
     failing that the first M with the smallest N within _MAX_TERMS; that is
     where a scan upwards in M that keeps the smallest N and stops once it is
-    at most 4 * _EM_TERMS ends.  Returns N and M per exponent; both are 0
-    where no M gives an N within _MAX_TERMS.
+    at most 4 * _EM_TERMS ends.  log K(M) and t are formed with that scan's
+    operations in its order; numpy's log, abs and exp may differ from the
+    math module's in the last bit, too little to move an N.  Returns N and M
+    per exponent; both are 0 where no M gives an N within _MAX_TERMS.
     """
     _, log_b, log_fact = _em_table()
     orders = slice(_EM_ORDER + 1, _MAX_ORDER + 2)  # j = M + 1
