@@ -114,8 +114,8 @@ def _em_table() -> np.ndarray:
     """Rows B_2j / (2j)!, log|B_2j| and log (2j)! for j = 0.._MAX_ORDER + 1, as floats.
 
     Built on first use, so importing the module stays cheap.  Each entry is
-    formed as it was formed per call before (``float(B) / (2j)!``,
-    ``_log_abs_fraction``, ``math.lgamma``), so reading it changes no bit.
+    one scalar expression (``float(B) / (2j)!``, ``_log_abs_fraction``,
+    ``math.lgamma``), so reading it gives the bits forming it per call would.
     """
     js = range(_MAX_ORDER + 2)
     table = np.array([

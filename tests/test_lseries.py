@@ -109,6 +109,19 @@ def test_stacked_kernel_rows_equal_one_exponent_calls(exps, xs, n_terms, order):
             assert values[i, j] == v and bounds[i, j] == b
 
 
+@pytest.mark.parametrize("block", [1, 40, 200])
+def test_kernel_blocks_change_no_bit(monkeypatch, block):
+    # at 1, 40 and 200 cells per block the kernel splits the x values (and at
+    # 200 takes two exponents per block) where the default block holds all
+    from apeuler import lseries
+
+    exps, xs = np.array([1.3 + 2j, 2.0 + 0j, 5 - 7j]), np.array([0.1, 0.35, 0.6, 0.85, 1.0])
+    whole = lseries._hurwitz_em(exps, xs, 20, 5)
+    monkeypatch.setattr(lseries, "_BLOCK_ELEMS", block)
+    for a, b in zip(whole, lseries._hurwitz_em(exps, xs, 20, 5)):
+        assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+
+
 @given(exps=_EXPONENTS, xs=_XS, order=st.integers(4, 12))
 @settings(max_examples=60, deadline=None)
 def test_remainder_majorant_matches_the_per_exponent_formula(exps, xs, order):
