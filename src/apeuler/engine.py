@@ -21,7 +21,7 @@ An exponent whose tail past a small prime cut X_j is below rounding (large
 Re s_j) is summed directly over the primes up to X_j, with that tail and the
 rounding in its bound; every other exponent goes through y_p.  One array call
 of ``_direct_cut`` routes every exponent of a plan, and one batched
-Euler-Maclaurin pass evaluates every Hurwitz vector its y_p calls read.
+Euler-Maclaurin pass fills every L table its y_p calls read.
 
 Sign convention: ``y_p`` approximates sum_{p >= P, p = a mod q} log(1 - p^-s)
 itself (it tends to 0 as P grows), so every product is exp of a plain sum.
@@ -217,7 +217,7 @@ def _direct_cut(sigma: np.ndarray, p_min: int, limit: int) -> np.ndarray:
     cut is 0 where X would pass min(_DIRECT_CAP, limit): the prime table must
     reach X.
     """
-    log_x1 = (sigma * math.log(p_min) - np.log(_U * (sigma - 1) / (2 * sigma))) / (sigma - 1)
+    log_x1 = (sigma * math.log(p_min) - np.log(_U / 2 * ((sigma - 1) / sigma))) / (sigma - 1)
     fits = log_x1 <= math.log(min(_DIRECT_CAP, limit) + 1)
     cut = np.maximum(p_min, np.ceil(np.exp(np.where(fits, log_x1, 0.0))) - 1)
     return np.where(fits, cut, 0).astype(np.int64)
@@ -273,9 +273,12 @@ def _direct_sums(
         values[order[i:j]] = partial[:, -1]
         spread[order[i:j]] = np.abs(partial.view(float)).sum(axis=1)
         i = j
-    rounding = np.bincount(row, r * (20 * np.abs(s) * lp + 48), len(xs)) + spread
+    # r |s| first: at a huge Re s, r is 0 and so is the term, where 20 |s| alone would overflow
+    rounding = np.bincount(row, 20 * (r * np.abs(s)) * lp + 48 * r, len(xs)) + spread
     sigma = exps.real
-    tails = 2 * sigma / (sigma - 1) * np.exp((1 - sigma) * np.log(xs + 1.0))
+    # (X + 1)^(1 - sigma) with X + 1 >= 3 is 0 in doubles once sigma > 700: 1 - sigma is
+    # held at -1000 there, which moves no value and keeps the product finite at any sigma
+    tails = 2 * (sigma / (sigma - 1)) * np.exp(np.maximum(1 - sigma, -1000.0) * np.log(xs + 1.0))
     return values, tails + _U * rounding + counts * 2.0**-1000
 
 
@@ -300,12 +303,13 @@ def _execute(
 
     Before the first y_p, every ell * s_j those calls evaluate (s_j a routed
     exponent, ell a depth with nonzero unsieve weights) goes to
-    ``LSeries.fill_residues`` in one call, after the ``front`` exponents (Re s
-    > 1) whose vectors mod q the caller reads afterwards, so all their
-    zeta(s, r/q) vectors come from one batched Euler-Maclaurin pass.  The batch stops short of the
-    first s_j that y_p refuses (Re s_j <= 1, or a branch threshold past the
-    prime table): that refusal is still raised by y_p, in plan order, with
-    its exit code and message, and nothing past it is evaluated.
+    ``LSeries.fill_l_tables`` in one call, after the ``front`` exponents (Re s
+    > 1) whose L tables mod q the caller reads afterwards, so every L(s, chi)
+    they read comes from one batched Euler-Maclaurin pass.  The batch stops
+    short of the first s_j that y_p refuses (Re s_j <= 1, or a branch
+    threshold past the prime table): that refusal is still raised by y_p, in
+    plan order, with its exit code and message, and nothing past it is
+    evaluated.
 
     y_p's bound leaves out its own rounding, about u |c_j| for each routed
     exponent.  A plan whose floor u sum |c_j| over those exponents passes the
@@ -327,7 +331,7 @@ def _execute(
             if s.real <= 1 or not _branch_fits(s.real, p_min, ls):
                 break  # y_p refuses s below, in plan order
             batch += [ell * s for ell in ells]
-    ls.fill_residues(batch, q)
+    ls.fill_l_tables(batch, q)
     total = 0j
     bound = fixed
     for s, c in zip(routed, coeffs[~direct].tolist()):
@@ -526,7 +530,6 @@ def continuation_demo(
     z1 = ls.zeta(2 * s - 1).log()
     z2 = ls.zeta(2 * s).log()
     z3 = ls.zeta(s).log()
-    log_total = z3 + z1.scaled(-1) + z2.scaled(-1)
-    acc = log_total.value + res.log_value
-    bnd = log_total.bound + res.total_bound + _demo_tail_majorant(s.real, n_max)
+    acc = z3.value - z1.value - z2.value + res.log_value
+    bnd = z3.bound + z1.bound + z2.bound + res.total_bound + _demo_tail_majorant(s.real, n_max)
     return ValueWithBound(acc, bnd).exp()

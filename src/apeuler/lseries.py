@@ -11,13 +11,13 @@ for large Re s do include theirs.
 starts and stops at fixed module constants.  One kernel, ``_hurwitz_em``,
 evaluates every (s, x) of a list of distinct exponents and a list of x;
 ``_hurwitz_grid`` chooses (N, M) for all its exponents in one array search,
-``_choose_em``, and makes one kernel call per (N, M) among them.  ``LSeries``
-keeps four caches: the Hurwitz residue vector per (s, q), filled for a whole
-list of exponents in one such pass and placed in one array operation; the L
-values of every character row per (s, q), one table product with that
-vector; per (s, q, P), the part of a truncated log-L miss that no row owns
-(the branch cut, and the primes below it as their columns mod q with p^-s),
-O(pi(P0)) in size; and the truncated log-L per (s, q, row, P).
+``_choose_em``, and makes one kernel call per (N, M) among them.  L(s, chi) is
+formed in one place, ``_l_table``: one such pass over the units r/q, then one
+table product per exponent.  ``LSeries`` keeps three caches: L(s, chi) of
+every character row per (s, q), filled for a whole list of exponents at once;
+per (s, q, P), the part of a truncated log-L miss that no row owns (the branch
+cut, and the primes below it as their columns mod q with p^-s), O(pi(P0)) in
+size; and the truncated log-L per (s, q, row, P).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .arith import BernoulliCache, PrimeTable
-from .characters import CharacterGroup, DirichletCharacter
+from .characters import CharacterGroup, DirichletCharacter, character_group
 from .errors import (
     InvalidArgumentError,
     OutOfDomainError,
@@ -54,12 +54,6 @@ class ValueWithBound:
             raise InvalidArgumentError("bound must be a finite nonnegative real")
         if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
             raise OutOfDomainError("non-finite value")
-
-    def __add__(self, other: "ValueWithBound") -> "ValueWithBound":
-        return ValueWithBound(self.value + other.value, self.bound + other.bound)
-
-    def scaled(self, c: complex) -> "ValueWithBound":
-        return ValueWithBound(c * self.value, abs(c) * self.bound)
 
     def exp(self) -> "ValueWithBound":
         """exp with the multiplicative propagation |exp(x)| * (e^b - 1).
@@ -256,36 +250,33 @@ def hurwitz_zeta(s: complex, x: float, params: EvalParams = EvalParams()) -> Val
     return ValueWithBound(complex(values[0, 0]), float(bounds[0, 0]))
 
 
-def _zeta_residues(
-    exps: list[complex], q: int, params: EvalParams
-) -> list[tuple[np.ndarray, float]]:
-    """Per s in ``exps``: zeta(s, r/q) placed at column r mod q for every unit r in 1..q (0 elsewhere).
+def _l_table(
+    exps: list[complex], group: CharacterGroup, params: EvalParams, rows=slice(None)
+) -> list[tuple[list[complex] | complex, float]]:
+    """Per s in ``exps``: L(s, chi) = q^(-s) sum_r chi(r) zeta(s, r/q) for the rows ``rows`` of ``group``.
 
-    Each vector comes with the sum of its remainder bounds.  Nothing here
-    depends on the character, so one vector serves every L(s, chi) mod q; all
-    of ``exps`` are evaluated in one batched pass and placed in one array
-    operation, each vector a row of it.
+    The only place L is formed.  One batched ``_hurwitz_grid`` pass evaluates
+    zeta(s, r/q) at every unit r in 1..q for all of ``exps``; then each
+    exponent takes one product of the table rows with its own zeta values,
+    so its L values do not depend on what else shared the pass.  Those
+    values sit at column r mod q of one q-wide vector, 0 at the non-units:
+    taking the unit columns of the table instead would copy a phi(q) x phi(q)
+    block on every call.  The rows share one bound, the scaled sum of that
+    exponent's remainder bounds.  By default every table row is formed, as a
+    list; an int ``rows`` forms that row alone, as one complex, in O(q).
     """
+    q = group.modulus
     r = np.arange(1, q + 1)
     r = r[np.gcd(r, q) == 1]
-    values, bounds = _hurwitz_grid(exps, r / q, params)
-    cols = np.zeros((len(exps), q), dtype=complex)
-    cols[:, r % q] = values
-    return list(zip(cols, bounds.sum(axis=1).tolist()))
-
-
-def _l_rows(
-    s: complex, group: CharacterGroup, residues: tuple[np.ndarray, float], rows=slice(None)
-) -> tuple[np.ndarray, float]:
-    """L(s, chi) = q^(-s) * sum_r chi(r) zeta(s, r/q) for the rows ``rows`` of ``group``.
-
-    One product of those table rows (every row by default) with the
-    zeta(s, r/q) vector; every row shares the one bound returned.
-    """
-    zeta_cols, bound = residues
-    q = group.modulus
-    scale = cmath.exp(-s * math.log(q)) if q > 1 else 1.0
-    return scale * (group.values[rows] @ zeta_cols), abs(scale) * bound
+    zetas, bounds = _hurwitz_grid(exps, r / q, params)
+    table = group.values[rows]
+    column = np.zeros(q, dtype=complex)
+    out = []
+    for s, zeta_r, bound in zip(exps, zetas, bounds.sum(axis=1).tolist()):
+        column[r % q] = zeta_r
+        scale = cmath.exp(-s * math.log(q)) if q > 1 else 1.0
+        out.append(((scale * (table @ column)).tolist(), abs(scale) * bound))
+    return out
 
 
 def dirichlet_l(
@@ -297,8 +288,8 @@ def dirichlet_l(
     s = complex(s)
     if s.real <= 1:
         raise OutOfDomainError("dirichlet_l requires Re s > 1")
-    value, bound = _l_rows(s, chi.group, _zeta_residues([s], chi.modulus, params)[0], chi.index)
-    return ValueWithBound(complex(value), bound)
+    value, bound = _l_table([s], chi.group, params, chi.index)[0]
+    return ValueWithBound(value, bound)
 
 
 class _Cut(NamedTuple):
@@ -311,14 +302,13 @@ class _Cut(NamedTuple):
 
 
 class LSeries:
-    """Evaluator bundling a prime table, accuracy parameters and four caches.
+    """Evaluator bundling a prime table, accuracy parameters and three caches.
 
-    * per (s, q): the zeta(s, r/q) vector.  ``fill_residues`` computes the
-      missing vectors of a list of exponents in one batched Euler-Maclaurin
-      pass; zeta(s) is the q = 1 vector.
-    * per (s, q): the L values of every character-table row, one table
-      product with that vector, built on the first ``dirichlet_l`` or
-      truncated log-L miss at (s, q).
+    * per (s, q): L(s, chi) of every character-table row and their shared
+      bound, one ``_l_table`` entry.  ``fill_l_tables`` builds the missing
+      entries of a list of exponents in one batched Euler-Maclaurin pass;
+      zeta(s) is the q = 1 entry, and ``dirichlet_l`` and every truncated
+      log-L miss read their row from it.
     * per (s, q, P): what a truncated log-L miss needs that no single row
       owns, built on the first miss: the branch cut P0, and the primes below
       it as their columns mod q with p^-s.  Its size is O(pi(P0)), not
@@ -330,52 +320,43 @@ class LSeries:
     def __init__(self, primes: PrimeTable, params: EvalParams = EvalParams()):
         self.primes = primes
         self.params = params
-        self._residue_cache: dict = {}  # (s, q) -> one entry of _zeta_residues
         self._l_cache: dict = {}  # (s, q) -> (L per table row as a list, shared bound)
         self._cut_cache: dict = {}  # (s, q, P) -> _Cut
         self._logl_cache: dict = {}  # (s, q, row, P)
 
-    def fill_residues(self, exps: Iterable[complex], q: int) -> None:
-        """Cache the zeta(s, r/q) vectors of every s in ``exps`` (Re s > 1) that is not cached yet.
+    def fill_l_tables(self, exps: Iterable[complex], q: int) -> None:
+        """Cache L(s, chi) of every row mod q for every s in ``exps`` (Re s > 1) not cached yet.
 
-        The missing exponents go through one batched pass: one kernel call
-        per Euler-Maclaurin (N, M) among them.
+        The missing exponents go through one ``_l_table`` call: one kernel
+        call per Euler-Maclaurin (N, M) among them.
         """
-        cache = self._residue_cache
+        cache = self._l_cache
         missing = [s for s in dict.fromkeys(map(complex, exps)) if (s, q) not in cache]
         if missing:
-            cache.update(zip(((s, q) for s in missing), _zeta_residues(missing, q, self.params)))
+            cache.update(zip(((s, q) for s in missing), _l_table(missing, character_group(q), self.params)))
 
-    def _residues(self, s: complex, q: int) -> tuple[np.ndarray, float]:
-        out = self._residue_cache.get((s, q))
+    def _l_values(self, s: complex, q: int) -> tuple[list[complex], float]:
+        """The (s, q) entry of the L cache, filled alone if it is missing."""
+        out = self._l_cache.get((s, q))
         if out is None:
-            self.fill_residues([s], q)
-            out = self._residue_cache[(s, q)]
+            self.fill_l_tables([s], q)
+            out = self._l_cache[(s, q)]
         return out
 
     def zeta(self, s: complex) -> ValueWithBound:
-        """zeta(s) = zeta(s, 1), the q = 1 residue vector."""
+        """zeta(s) = L(s, chi_0) mod 1, the q = 1 entry of the L cache."""
         s = complex(s)
         if s.real <= 1:
             raise OutOfDomainError("zeta requires Re s > 1")
-        col, bound = self._residues(s, 1)
-        return ValueWithBound(complex(col[0]), bound)
+        values, bound = self._l_values(s, 1)
+        return ValueWithBound(values[0], bound)
 
     def dirichlet_l(self, s: complex, chi: DirichletCharacter) -> ValueWithBound:
         s = complex(s)
         if s.real <= 1:
             raise OutOfDomainError("dirichlet_l requires Re s > 1")
-        values, bound = self._l_values(s, chi.group)
+        values, bound = self._l_values(s, chi.modulus)
         return ValueWithBound(values[chi.index], bound)
-
-    def _l_values(self, s: complex, group: CharacterGroup) -> tuple[list[complex], float]:
-        """The (s, q) entry of the L cache: L(s, chi) of every table row and their shared bound."""
-        key = (s, group.modulus)
-        out = self._l_cache.get(key)
-        if out is None:
-            values, bound = _l_rows(s, group, self._residues(s, group.modulus))
-            out = self._l_cache[key] = (values.tolist(), bound)
-        return out
 
     def zeta_p(self, s: complex, p_min: int) -> ValueWithBound:
         """zeta with Euler factors below p_min removed: zeta(s) * prod_{p<P} (1 - p^-s)."""
@@ -431,7 +412,7 @@ class LSeries:
                 raise InvalidArgumentError("log_truncated_l requires P >= 2")
             primes = self.primes.below(self._branch_cut(s.real, p_min))
             powers = [cmath.exp(-s * math.log(p)) for p in primes.tolist()]
-            out = _Cut(primes % q, powers, int(np.searchsorted(primes, p_min)), self._l_values(s, group))
+            out = _Cut(primes % q, powers, int(np.searchsorted(primes, p_min)), self._l_values(s, q))
             self._cut_cache[key] = out
         return out
 

@@ -278,6 +278,20 @@ def test_re_s_just_above_one_is_refused_for_the_prime_table(capsys, argv):
     assert "prime table limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s", ["1e300", "1e308", "1e308,1e308", "1.7976931348623157e308"])
+def test_huge_re_s_is_summed_directly_without_overflow(capsys, s):
+    # the product is 1 to within a tiny bound; the direct cut and the direct
+    # sum's tail and rounding terms must not overflow on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["ap", "--s", s, "--json"])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["log_value"] == [0.0, 0.0]
+    assert payload["bound"] < 1e-300
+
+
 @pytest.mark.parametrize("argv", [["demo", "--L", "1", "--s", "3"], ["demo", "--L", "0"]])
 def test_demo_depth_below_two_exits_two(capsys, argv):
     assert run(argv) == 2

@@ -346,14 +346,14 @@ def test_multi_term_one_y_p_call_per_exponent(ls6, monkeypatch):
 
 
 def test_a_families_job_makes_one_hurwitz_fill(primes_1e6, bench_jobs, monkeypatch):
-    # every job of the benchmark's families pass (seed 1) evaluates all its
-    # Hurwitz vectors in one batched pass; a demo's three zeta front factors
-    # join its plan's exponents there
+    # every job of the benchmark's families pass (seed 1) forms all its L
+    # tables in one batched pass; a demo's three zeta front factors join its
+    # plan's exponents there
     from apeuler import LSeries, lseries
 
     fills = []
-    real = lseries._zeta_residues
-    monkeypatch.setattr(lseries, "_zeta_residues", lambda exps, q, params: fills.append(exps) or real(exps, q, params))
+    real = lseries._l_table
+    monkeypatch.setattr(lseries, "_l_table", lambda exps, *args: fills.append(exps) or real(exps, *args))
     jobs = bench_jobs.families_jobs(1)
     for mode, spec in jobs:
         fills.clear()

@@ -1,8 +1,9 @@
 """Regression against the balls recorded in bench/golden.json (read only).
 
-For catalog entry 0 of every rational / multi shape and for every demo job of
-the benchmark, the ball returned now must overlap the recorded one, and its
-bound may not be looser than the recorded bound.
+For every job in ``golden_jobs()`` (every value-returning job any benchmark
+seed can make: ap, rational, multi and demo), the ball returned now on one
+shared LSeries must overlap the recorded one, and its bound may not be looser
+than the recorded bound.
 """
 
 import importlib.util
@@ -25,11 +26,7 @@ def _load_jobs():
 
 J = _load_jobs()
 GOLDEN = json.loads((BENCH / "golden.json").read_text())["balls"]
-JOBS = (
-    [("rational", J.rational_spec(0, q, a)) for q, a in J.RATIONAL_QA]
-    + [("multi", J.multi_spec(0, k, q, a)) for k in J.MULTI_K for q, a in J.MULTI_QA]
-    + [("demo", J.demo_spec(s, n)) for s in J.S_DEMO for n in J.NMAX_DEMO]
-)
+JOBS = J.golden_jobs()
 
 
 @pytest.mark.parametrize("mode,spec", JOBS, ids=[J.key(m, s) for m, s in JOBS])

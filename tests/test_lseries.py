@@ -17,7 +17,7 @@ from apeuler import (
     dirichlet_l,
     hurwitz_zeta,
 )
-from apeuler.lseries import _choose_em, _hurwitz_em, _hurwitz_grid
+from apeuler.lseries import _choose_em, _hurwitz_em, _hurwitz_grid, _l_table
 
 GRID_S = [complex(sig, im) for sig in (1.5, 2.0, 3.0) for im in (0.0, 1.0)]
 
@@ -274,6 +274,17 @@ def test_dirichlet_l_principal_mod_two():
     assert abs(val.value - (1 - 2**-3) * z3.value) <= val.bound + z3.bound + 1e-13
 
 
+@pytest.mark.parametrize("q", [1, 4, 30, 101, 210])
+def test_batched_l_table_rows_equal_one_exponent_tables(q):
+    # an exponent's L values do not depend on what else shared its fill: each
+    # exponent takes its own table product, not one product over the batch
+    exps = [2 + 0j, 1.1 + 40j, 3 + 20j, 1.5 - 3j, 12 + 0j, 1.2 + 0.5j]
+    group = character_group(q)
+    for s, row in zip(exps, _l_table(exps, group, EvalParams())):
+        (alone,) = _l_table([s], group, EvalParams())
+        assert repr(row) == repr(alone)  # bit for bit, signed zeros included
+
+
 def test_zeta_p_basic(ls6):
     z = ls6.zeta_p(2, 2)
     assert abs(z.value - math.pi**2 / 6) <= z.bound + 1e-13
@@ -368,29 +379,34 @@ def test_add_back_between_p_and_the_branch_threshold(ls6, q):
 
 
 def test_a_second_row_at_one_cut_reuses_its_l_product_and_prime_powers(primes_1e6, monkeypatch):
-    # the L values of every row are built once per (s, q), and the primes below
-    # P0 with their p^-s once per (s, q, P); a miss for another row runs only
-    # its own factors
+    # the L values of every row are formed once per (s, q), by the fill, and
+    # the primes below P0 with their p^-s once per (s, q, P); a miss for
+    # another row runs only its own factors
     from apeuler import LSeries, lseries
     from apeuler.arith import PrimeTable
 
     products, prime_lists = [], []
-    l_rows, below = lseries._l_rows, PrimeTable.below
-    monkeypatch.setattr(lseries, "_l_rows", lambda *args: products.append(args[0]) or l_rows(*args))
+    l_table, below = lseries._l_table, PrimeTable.below
+    monkeypatch.setattr(
+        lseries, "_l_table",
+        lambda exps, group, params, *rows: products.append((exps, *rows)) or l_table(exps, group, params, *rows),
+    )
     monkeypatch.setattr(PrimeTable, "below", lambda self, bound: prime_lists.append(bound) or below(self, bound))
     ls = LSeries(primes_1e6)
     s = 1.5 + 3j  # P0 = 6: the factors at 2, 3 and 5 are removed
     chars = character_group(5).characters
+    ls.fill_l_tables([s], 5)
+    assert (products, prime_lists) == ([([s],)], [])
     ls.log_truncated_l(s, chars[1], 2)
-    assert (products, prime_lists) == ([s], [6])
+    assert (products, prime_lists) == ([([s],)], [6])
     for chi in chars:
         ls.log_truncated_l(s, chi, 2)
-    assert (products, prime_lists) == ([s], [6])
+    assert (products, prime_lists) == ([([s],)], [6])
     ls.log_truncated_l(s, chars[1], 3)  # another P is another cut entry, with the same L values
-    assert (products, prime_lists) == ([s], [6, 6])
+    assert (products, prime_lists) == ([([s],)], [6, 6])
     for chi in chars:  # LSeries.dirichlet_l reads the same cached L values
         assert ls.dirichlet_l(s, chi).value == pytest.approx(dirichlet_l(s, chi).value, rel=1e-15, abs=0)
-    assert products == [s] * 5  # the module dirichlet_l forms one row per call
+    assert products[1:] == [([s], chi.index) for chi in chars]  # the module dirichlet_l forms its own row alone
 
 
 def test_a_cut_near_sigma_one_holds_its_primes_not_a_table_of_them(primes_1e6):
@@ -402,9 +418,9 @@ def test_a_cut_near_sigma_one_holds_its_primes_not_a_table_of_them(primes_1e6):
 
     q, s = 1009, 1.15 + 0j
     group = character_group(q)
-    group.values  # the phi(q) x q table and the Hurwitz vector are built before the trace
+    group.values  # the phi(q) x q table and the L table are built before the trace
     ls = LSeries(primes_1e6)
-    ls.fill_residues([s], q)
+    ls.fill_l_tables([s], q)
     tracemalloc.start()
     try:
         ls.log_truncated_l(s, group.characters[1], 2)
