@@ -215,8 +215,10 @@ def _direct_cut(sigma: np.ndarray, p_min: int, limit: int) -> np.ndarray:
 
     That majorizes sum_{n > X} |log(1 - n^-s)| by |log(1 - z)| <= 2|z|.  The
     cut is 0 where X would pass min(_DIRECT_CAP, limit): the prime table must
-    reach X.
+    reach X.  Past sigma = 1e300 the cut is P, so sigma is held there and
+    sigma log P stays finite.
     """
+    sigma = np.minimum(sigma, 1e300)
     log_x1 = (sigma * math.log(p_min) - np.log(_U / 2 * ((sigma - 1) / sigma))) / (sigma - 1)
     fits = log_x1 <= math.log(min(_DIRECT_CAP, limit) + 1)
     cut = np.maximum(p_min, np.ceil(np.exp(np.where(fits, log_x1, 0.0))) - 1)
@@ -241,7 +243,7 @@ def _direct_sums(
     call, a cell is off by at most u r (20 |s_j| log p + 40); a row, summed
     from its smallest cell, adds u sum_k (|Re S_k| + |Im S_k|) over its
     partial sums S_k; the caller's product with c_j and its fsum add 8 u sum r.
-    Each cell adds 2^-1000 for underflow.
+    Each cell, and each row for its tail, adds 2^-1000 for underflow.
     """
     ps = primes.in_range(p_min, int(xs.max()))
     ps = ps[ps % q == a % q]
@@ -253,7 +255,7 @@ def _direct_sums(
     row = np.repeat(order, widths)  # per cell; a row's cells run from its largest prime down
     lp = logp[np.repeat(ends - 1, widths) - np.arange(ends[-1])]
     s = exps[row]
-    r = np.exp(-s.real * lp)
+    r = np.exp(-np.minimum(s.real, 1e300) * lp)  # p^-sigma is 0 past 1e300; held there, sigma log p is finite
     if not exps.imag.any():
         cells = 0.5 * np.log1p(r * r - 2 * r)
     else:
@@ -279,16 +281,7 @@ def _direct_sums(
     # (X + 1)^(1 - sigma) with X + 1 >= 3 is 0 in doubles once sigma > 700: 1 - sigma is
     # held at -1000 there, which moves no value and keeps the product finite at any sigma
     tails = 2 * (sigma / (sigma - 1)) * np.exp(np.maximum(1 - sigma, -1000.0) * np.log(xs + 1.0))
-    return values, tails + _U * rounding + counts * 2.0**-1000
-
-
-def _branch_fits(sigma: float, p_min: int, ls: LSeries) -> bool:
-    """Whether log_truncated_l accepts Re s = sigma at P: its branch cut lies within the prime table."""
-    try:
-        ls._branch_cut(sigma, p_min)
-    except InvalidArgumentError:
-        return False
-    return True
+    return values, tails + _U * rounding + (counts + 1) * 2.0**-1000
 
 
 def _execute(
@@ -306,10 +299,10 @@ def _execute(
     ``LSeries.fill_l_tables`` in one call, after the ``front`` exponents (Re s
     > 1) whose L tables mod q the caller reads afterwards, so every L(s, chi)
     they read comes from one batched Euler-Maclaurin pass.  The batch stops
-    short of the first s_j that y_p refuses (Re s_j <= 1, or a branch
-    threshold past the prime table): that refusal is still raised by y_p, in
-    plan order, with its exit code and message, and nothing past it is
-    evaluated.
+    short of the first s_j that ``LSeries._branch_cut`` refuses (Re s_j <= 1,
+    or a branch threshold past the prime table): that refusal is still raised
+    by y_p, in plan order, with its exit code and message, and nothing past
+    it is evaluated.
 
     y_p's bound leaves out its own rounding, about u |c_j| for each routed
     exponent.  A plan whose floor u sum |c_j| over those exponents passes the
@@ -328,7 +321,9 @@ def _execute(
     if routed:
         ells = [ell for ell, rows, _ in character_group(q).unsieve_weights(a, depth) if rows]
         for s in routed:
-            if s.real <= 1 or not _branch_fits(s.real, p_min, ls):
+            try:
+                ls._branch_cut(s.real, p_min)
+            except (InvalidArgumentError, OutOfDomainError):
                 break  # y_p refuses s below, in plan order
             batch += [ell * s for ell in ells]
     ls.fill_l_tables(batch, q)

@@ -13,11 +13,11 @@ evaluates every (s, x) of a list of distinct exponents and a list of x;
 ``_hurwitz_grid`` chooses (N, M) for all its exponents in one array search,
 ``_choose_em``, and makes one kernel call per (N, M) among them.  L(s, chi) is
 formed in one place, ``_l_table``: one such pass over the units r/q, then one
-table product per exponent.  ``LSeries`` keeps three caches: L(s, chi) of
+table product per exponent.  ``LSeries`` keeps two caches: L(s, chi) of
 every character row per (s, q), filled for a whole list of exponents at once;
-per (s, q, P), the part of a truncated log-L miss that no row owns (the branch
+and per (s, q, P), the part of a truncated log-L that no row owns (the branch
 cut, and the primes below it as their columns mod q with p^-s), O(pi(P0)) in
-size; and the truncated log-L per (s, q, row, P).
+size, with a slot per row for that row's truncated log.
 """
 
 from __future__ import annotations
@@ -40,6 +40,15 @@ from .errors import (
 )
 
 DEFAULT_TARGET_EPS = 1e-14
+
+
+def _ball_log(v: complex, b: float) -> tuple[complex, float]:
+    """Principal log of the ball of radius b about v, and its radius; refused if the ball holds 0."""
+    r = abs(v)
+    if b >= r:
+        raise PrecisionUnreachableError("log of a ball containing 0")
+    # |log(v + d) - log(v)| <= -log(1 - b/|v|)  for |d| <= b < |v|
+    return cmath.log(v), -math.log1p(-b / r)
 
 
 @dataclass(frozen=True)
@@ -70,11 +79,7 @@ class ValueWithBound:
 
     def log(self) -> "ValueWithBound":
         """Principal log; requires the bound ball to stay away from 0."""
-        r = abs(self.value)
-        if self.bound >= r:
-            raise PrecisionUnreachableError("log of a ball containing 0")
-        # |log(v + d) - log(v)| <= -log(1 - b/|v|)  for |d| <= b < |v|
-        return ValueWithBound(cmath.log(self.value), -math.log1p(-self.bound / r))
+        return ValueWithBound(*_ball_log(self.value, self.bound))
 
 
 @dataclass(frozen=True)
@@ -293,28 +298,29 @@ def dirichlet_l(
 
 
 class _Cut(NamedTuple):
-    """What a log L_P(s, chi) miss mod q needs that does not depend on the row chi."""
+    """The (s, q, P) entry of a truncated log L_P(s, chi) mod q: what no row owns, and each row's log."""
 
     cols: np.ndarray  # p mod q for each prime p below the branch cut P0
     powers: list[complex]  # p^-s for each of those primes
     start: int  # how many of them lie below P: removed, never added back
     l_values: tuple[list[complex], float]  # the (s, q) entry of the L cache, shared with it
+    logs: list[ValueWithBound | None]  # per table row: its truncated log, None until first read
 
 
 class LSeries:
-    """Evaluator bundling a prime table, accuracy parameters and three caches.
+    """Evaluator bundling a prime table, accuracy parameters and two caches.
 
     * per (s, q): L(s, chi) of every character-table row and their shared
       bound, one ``_l_table`` entry.  ``fill_l_tables`` builds the missing
       entries of a list of exponents in one batched Euler-Maclaurin pass;
       zeta(s) is the q = 1 entry, and ``dirichlet_l`` and every truncated
       log-L miss read their row from it.
-    * per (s, q, P): what a truncated log-L miss needs that no single row
-      owns, built on the first miss: the branch cut P0, and the primes below
-      it as their columns mod q with p^-s.  Its size is O(pi(P0)), not
-      O(phi(q) pi(P0)): a miss reads chi(p) from the table through the columns.
-    * per (s, q, row, P): the truncated log-L itself.  A miss keeps only the
-      row's own work: its short Euler product, the log and the add-back.
+    * per (s, q, P): one entry, built on the first read of any row: the
+      branch cut P0, the primes below it as their columns mod q with p^-s,
+      and a slot per row for its truncated log-L, formed on that row's first
+      read.  Its size is O(phi(q) + pi(P0)), not O(phi(q) pi(P0)): a row
+      reads chi(p) from the table through the columns, and forms only its
+      own short Euler product, the log and the add-back.
     """
 
     def __init__(self, primes: PrimeTable, params: EvalParams = EvalParams()):
@@ -322,7 +328,6 @@ class LSeries:
         self.params = params
         self._l_cache: dict = {}  # (s, q) -> (L per table row as a list, shared bound)
         self._cut_cache: dict = {}  # (s, q, P) -> _Cut
-        self._logl_cache: dict = {}  # (s, q, row, P)
 
     def fill_l_tables(self, exps: Iterable[complex], q: int) -> None:
         """Cache L(s, chi) of every row mod q for every s in ``exps`` (Re s > 1) not cached yet.
@@ -371,50 +376,29 @@ class LSeries:
             factor *= 1 - cmath.exp(-s * math.log(int(p)))
         return ValueWithBound(z.value * factor, z.bound * abs(factor))
 
-    def _branch_threshold(self, sigma: float) -> int:
-        """Smallest P0 with 1/((sigma-1)(P0-1)^(sigma-1)) < 0.9.
-
-        Below that threshold the series log of L_P0 has modulus < 0.9 < pi,
-        so it coincides with the principal log of the value.  Refused when P0
-        passes the prime table; that test is made on log P0 first, since P0
-        overflows a double as sigma -> 1.
-        """
-        log_t = -math.log(0.9 * (sigma - 1)) / (sigma - 1)
-        if log_t > math.log(self.primes.limit) + 1:
-            raise InvalidArgumentError(
-                f"prime table limit {self.primes.limit} too small for threshold e^{log_t:.4g}"
-            )
-        t = (1.0 / (0.9 * (sigma - 1))) ** (1.0 / (sigma - 1))
-        return math.floor(t) + 2
-
     def _branch_cut(self, sigma: float, p_min: int) -> int:
         """P0 = max(P, branch threshold): log_truncated_l removes the Euler factors below it.
 
-        Refused when P0 passes the prime table.  The threshold falls as sigma
-        grows, so a sigma that passes makes every larger one pass.
+        The threshold is the smallest P0 with 1/((sigma-1)(P0-1)^(sigma-1)) < 0.9.
+        Past it the series log of L_P0 has modulus < 0.9 < pi, so it coincides
+        with the principal log of the value.  The one place the log-L layer
+        refuses: Re s <= 1, P < 2, or P0 past the prime table.  The table test
+        is made on log P0 first, since P0 overflows a double as sigma -> 1.
+        The threshold falls as sigma grows, so a sigma that passes makes every
+        larger one pass.
         """
-        p0 = max(p_min, self._branch_threshold(sigma))
-        if p0 > self.primes.limit:
-            raise InvalidArgumentError(
-                f"prime table limit {self.primes.limit} too small for threshold {p0}"
-            )
+        if sigma <= 1:
+            raise OutOfDomainError("log_truncated_l requires Re s > 1")
+        if p_min < 2:
+            raise InvalidArgumentError("log_truncated_l requires P >= 2")
+        limit = self.primes.limit
+        log_t = -math.log(0.9 * (sigma - 1)) / (sigma - 1)
+        if log_t > math.log(limit) + 1:
+            raise InvalidArgumentError(f"prime table limit {limit} too small for threshold e^{log_t:.4g}")
+        p0 = max(p_min, math.floor((1.0 / (0.9 * (sigma - 1))) ** (1.0 / (sigma - 1))) + 2)
+        if p0 > limit:
+            raise InvalidArgumentError(f"prime table limit {limit} too small for threshold {p0}")
         return p0
-
-    def _cut(self, s: complex, group: CharacterGroup, p_min: int) -> _Cut:
-        """The (s, q, P) entry of the cut cache, built with the refusals of log_truncated_l."""
-        q = group.modulus
-        key = (s, q, p_min)
-        out = self._cut_cache.get(key)
-        if out is None:
-            if s.real <= 1:
-                raise OutOfDomainError("log_truncated_l requires Re s > 1")
-            if p_min < 2:
-                raise InvalidArgumentError("log_truncated_l requires P >= 2")
-            primes = self.primes.below(self._branch_cut(s.real, p_min))
-            powers = [cmath.exp(-s * math.log(p)) for p in primes.tolist()]
-            out = _Cut(primes % q, powers, int(np.searchsorted(primes, p_min)), self._l_values(s, q))
-            self._cut_cache[key] = out
-        return out
 
     def log_truncated_l(
         self, s: complex, chi: DirichletCharacter, p_min: int
@@ -426,11 +410,17 @@ class LSeries:
         modulus below pi, then adding the removed factors back per-factor.
         """
         s = complex(s)
-        key = (s, chi.modulus, chi.index, p_min)
-        out = self._logl_cache.get(key)
+        q = chi.modulus
+        cut = self._cut_cache.get((s, q, p_min))
+        if cut is None:
+            primes = self.primes.below(self._branch_cut(s.real, p_min))
+            powers = [cmath.exp(-s * math.log(p)) for p in primes.tolist()]
+            start = int(np.searchsorted(primes, p_min))
+            cut = _Cut(primes % q, powers, start, self._l_values(s, q), [None] * len(chi.group))
+            self._cut_cache[(s, q, p_min)] = cut
+        out = cut.logs[chi.index]
         if out is not None:
             return out
-        cut = self._cut(s, chi.group, p_min)
         terms = zip(chi.group.values[chi.index].take(cut.cols).tolist(), cut.powers)
         factor = 1 + 0j
         for c, z in islice(terms, cut.start):  # below P: removed, not added back
@@ -441,12 +431,6 @@ class LSeries:
             factor *= t
             add_back -= cmath.log(t)
         values, bound = cut.l_values
-        # the log of the ball L * factor, as ValueWithBound.log forms it
-        v = values[chi.index] * factor
-        r = abs(v)
-        b = bound * abs(factor)
-        if b >= r:
-            raise PrecisionUnreachableError("log of a ball containing 0")
-        out = ValueWithBound(cmath.log(v) + add_back, -math.log1p(-b / r))
-        self._logl_cache[key] = out
+        log_l, radius = _ball_log(values[chi.index] * factor, bound * abs(factor))
+        out = cut.logs[chi.index] = ValueWithBound(log_l + add_back, radius)
         return out

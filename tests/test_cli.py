@@ -292,6 +292,20 @@ def test_huge_re_s_is_summed_directly_without_overflow(capsys, s):
     assert payload["bound"] < 1e-300
 
 
+@pytest.mark.parametrize("argv", [["--s", "1e308", "--P", "100"], ["--s", "1.7e308", "--P", "3"]])
+def test_huge_re_s_past_a_small_prime_is_summed_directly(capsys, argv):
+    # sigma log P overflows a double here; the direct cut and p^-s are formed
+    # without it.  At P = 100 no prime lies in [P, X] = [100, 100] and the
+    # tail underflows: the bound is the underflow allowance of the row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["ap", *argv, "--json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["log_value"] == [0.0, 0.0]
+    assert 0 < payload["bound"] < 1e-300
+
+
 @pytest.mark.parametrize("argv", [["demo", "--L", "1", "--s", "3"], ["demo", "--L", "0"]])
 def test_demo_depth_below_two_exits_two(capsys, argv):
     assert run(argv) == 2

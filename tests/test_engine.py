@@ -435,6 +435,13 @@ def test_direct_sums_match_the_single_layout_formula(primes_1e6, qa, p_min, rows
     assert bounds == pytest.approx(ref_bounds, rel=1e-12, abs=0)
 
 
+def test_a_direct_row_with_no_prime_keeps_a_positive_bound(primes_1e6):
+    # no prime in [100, 100] and a tail that underflows: the row's own 2^-1000 remains
+    values, bounds = engine._direct_sums(np.array([1e307 + 0j]), np.array([100]), 1, 1, 100, primes_1e6)
+    assert values.tolist() == [0j]
+    assert bounds.tolist() == [2.0**-1000]
+
+
 def test_small_prime_table_falls_back_to_y_p(ls6, monkeypatch):
     # with primes up to 100, every exponent whose cut X_j passes 100 goes to y_p
     from apeuler import LSeries, sieve

@@ -370,7 +370,7 @@ def test_log_modulus_dominated_by_zeta_p(ls6, q, p_min, s):
 def test_add_back_between_p_and_the_branch_threshold(ls6, q):
     # GRID_S keeps P0 <= 6; here every prime in [P, P0) is added back after the branch cut
     s = 1.3 + 5j
-    assert ls6._branch_threshold(s.real) == 80
+    assert ls6._branch_cut(s.real, 2) == 80
     for chi in character_group(q).characters:
         step = ls6.log_truncated_l(s, chi, 7).value - ls6.log_truncated_l(s, chi, 11).value
         assert abs(step + cmath.log(1 - chi(7) * cmath.exp(-s * math.log(7)))) <= 1e-15
@@ -407,6 +407,37 @@ def test_a_second_row_at_one_cut_reuses_its_l_product_and_prime_powers(primes_1e
     for chi in chars:  # LSeries.dirichlet_l reads the same cached L values
         assert ls.dirichlet_l(s, chi).value == pytest.approx(dirichlet_l(s, chi).value, rel=1e-15, abs=0)
     assert products[1:] == [([s], chi.index) for chi in chars]  # the module dirichlet_l forms its own row alone
+
+
+def test_each_row_log_is_formed_once_per_cut_entry(primes_1e6):
+    # one (s, q, P) entry holds every row's truncated log, formed on its first read
+    from apeuler import LSeries
+
+    ls = LSeries(primes_1e6)
+    s, q = 1.5 + 3j, 5
+    chars = character_group(q).characters
+    first = [ls.log_truncated_l(s, chi, 2) for chi in chars]
+    assert list(ls._cut_cache) == [(s, q, 2)]
+    assert all(ls.log_truncated_l(s, chi, 2) is out for chi, out in zip(chars, first))
+    other = ls.log_truncated_l(s, chars[1], 3)  # another P is another entry
+    assert list(ls._cut_cache) == [(s, q, 2), (s, q, 3)]
+    assert other is not first[1]
+    assert ls._cut_cache[(s, q, 3)].logs == [None, other, None, None]
+
+
+def test_branch_cut_raises_every_log_l_refusal():
+    from apeuler import LSeries, sieve
+
+    ls = LSeries(sieve(100))
+    with pytest.raises(OutOfDomainError, match=r"^log_truncated_l requires Re s > 1$"):
+        ls._branch_cut(1.0, 2)
+    with pytest.raises(InvalidArgumentError, match=r"^log_truncated_l requires P >= 2$"):
+        ls._branch_cut(2.0, 1)
+    with pytest.raises(InvalidArgumentError, match=r"^prime table limit 100 too small for threshold e\^7013$"):
+        ls._branch_cut(1.001, 2)
+    with pytest.raises(InvalidArgumentError, match=r"^prime table limit 100 too small for threshold 200$"):
+        ls._branch_cut(5.0, 200)
+    assert ls._branch_cut(5.0, 100) == 100
 
 
 def test_a_cut_near_sigma_one_holds_its_primes_not_a_table_of_them(primes_1e6):
