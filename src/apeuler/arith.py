@@ -10,14 +10,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
-# Odd numbers per sieve segment: a 1 MB flag buffer spanning 2 * _SEGMENT integers.
+# Odd numbers per segment of a table build: a 1 MB flag buffer spanning 2 * _SEGMENT integers.
 _SEGMENT = 1 << 20
-# Largest sieve limit accepted: its table of about 5.8e6 primes takes 46 MB.
+# Largest sieve limit accepted.  It caps time, not the oracle's memory: the oracle
+# streams its primes past the table in segments (a table up to it takes 46 MB).
 SIEVE_MAX = 10**8
 _ZERO = Fraction(0)
 
@@ -64,43 +66,60 @@ def _prime_count_majorant(x: int) -> int:
     return int(x / log_x * (1 + 1.2762 / log_x)) + 1
 
 
+def check_sieve_limit(limit: int, name: str = "sieve limit") -> None:
+    """Refuse a limit below 2 or past SIEVE_MAX, before any array exists."""
+    if limit < 2:
+        raise InvalidArgumentError(f"{name} must be >= 2")
+    if limit > SIEVE_MAX:
+        raise InvalidArgumentError(f"{name} {limit} exceeds the largest supported, {SIEVE_MAX}")
+
+
+def prime_segments(lo: int, hi: int, segment: int = _SEGMENT) -> Iterator[np.ndarray]:
+    """The primes p with lo <= p <= hi, ascending, one int64 array per segment.
+
+    2 comes alone, then the odd numbers from the first one >= lo are sieved
+    ``segment`` of them at a time in one reused flag buffer.  Apart from the
+    arrays it yields it holds that buffer and the odd primes up to sqrt(hi).
+    The caller checks hi with ``check_sieve_limit``.
+    """
+    if lo <= 2 <= hi:
+        yield np.array([2], dtype=np.int64)
+    base = _simple_sieve(max(math.isqrt(hi), 2))[1:]  # odd primes up to sqrt(hi)
+    k0, k1 = max(lo, 1) // 2, (hi + 1) // 2  # the odd numbers 2 k + 1 in [lo, hi]
+    flags = np.empty(max(0, min(segment, k1 - k0)), dtype=bool)
+    for i0 in range(k0, k1, segment):
+        seg = flags[: min(segment, k1 - i0)]
+        seg[:] = True
+        first = 2 * i0 + 1  # seg[i] stands for first + 2 i
+        end = first + 2 * len(seg)
+        if i0 == 0:
+            seg[0] = False  # 1 is not prime
+        ps = base[: np.searchsorted(base, math.isqrt(end - 1), side="right")]
+        start = np.maximum(ps * ps, -(-first // ps) * ps)
+        start += ps * (start % 2 == 0)  # odd multiples only
+        for p, o in zip(ps.tolist(), ((start - first) // 2).tolist()):
+            seg[o::p] = False
+        found = np.flatnonzero(seg)
+        found *= 2
+        found += first
+        yield found
+        del found  # else it lives on while the next segment's is allocated
+
+
 def sieve(limit: int) -> PrimeTable:
     """Segmented Eratosthenes sieve up to ``limit`` inclusive, 2 <= limit <= SIEVE_MAX.
 
-    Only odd numbers are sieved, _SEGMENT of them at a time in one reused flag
-    buffer.  Each segment's primes are written straight into a single table
-    sized by ``_prime_count_majorant``; the returned primes are a view of its
-    first pi(limit) entries, so the pages past them are never touched and never
+    ``prime_segments`` sieves the odd numbers _SEGMENT at a time, and each
+    segment's primes are written straight into a single table sized by
+    ``_prime_count_majorant``; the returned primes are a view of its first
+    pi(limit) entries, so the pages past them are never touched and never
     become resident.  Apart from the table it allocates under 3 MB at any
     limit: the flag buffer and one segment's primes.
     """
-    if limit < 2:
-        raise InvalidArgumentError("sieve limit must be >= 2")
-    if limit > SIEVE_MAX:
-        raise InvalidArgumentError(f"sieve limit {limit} exceeds the largest supported, {SIEVE_MAX}")
-    base = _simple_sieve(max(math.isqrt(limit), 2))[1:].tolist()  # odd primes up to sqrt(limit)
+    check_sieve_limit(limit)
     out = np.empty(_prime_count_majorant(limit), dtype=np.int64)
-    out[0] = 2
-    n = 1
-    odds = (limit + 1) // 2  # the odd numbers 1, 3, ..., 2 * odds - 1 <= limit
-    flags = np.empty(min(_SEGMENT, odds), dtype=bool)
-    for i0 in range(0, odds, _SEGMENT):
-        seg = flags[: min(_SEGMENT, odds - i0)]
-        seg[:] = True
-        lo = 2 * i0 + 1  # seg[i] stands for lo + 2 i
-        hi = lo + 2 * len(seg)
-        if i0 == 0:
-            seg[0] = False  # 1 is not prime
-        for p in base:
-            if p * p >= hi:
-                break
-            start = max(p * p, (lo + p - 1) // p * p)
-            if start % 2 == 0:  # odd multiples only
-                start += p
-            seg[(start - lo) // 2 :: p] = False
-        found = np.flatnonzero(seg)
-        found *= 2
-        found += lo
+    n = 0
+    for found in prime_segments(2, limit):
         out[n : n + len(found)] = found
         n += len(found)
         del found  # else it lives on while the next segment's is allocated

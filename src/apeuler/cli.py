@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .arith import PrimeTable, sieve
+from .arith import PrimeTable, check_sieve_limit, sieve
 from .characters import character_group
 from .engine import (
     _DEMO_TERMS,
@@ -177,8 +177,15 @@ def _params_from_env() -> EvalParams:
 
 
 def _make_lseries(p_min: int, oracle_limit: int | None) -> tuple[LSeries, PrimeTable]:
-    limit = max(10**6, 4 * p_min, oracle_limit or 0)
-    table = sieve(limit)
+    """An LSeries over the primes up to max(10^6, 4P), and that table.
+
+    The table does not depend on the oracle limit (None for no oracle): the
+    oracle reads the table and sieves the primes past it one segment at a
+    time.  A limit the oracle refuses is refused here, before any table exists.
+    """
+    if oracle_limit is not None:
+        check_sieve_limit(oracle_limit, "prime_limit")
+    table = sieve(max(10**6, 4 * p_min))
     return LSeries(table, _params_from_env()), table
 
 
@@ -255,7 +262,7 @@ def execute_job(mode: str, spec: dict) -> dict:
 
     product, evaluate = _build_spec(mode, spec)
     oracle_limit = _read(spec, "oracle_limit", default=0)
-    ls, table = _make_lseries(product.p_min, oracle_limit)
+    ls, table = _make_lseries(product.p_min, oracle_limit or None)
     value, log_value, bound = evaluate(ls)
     out["value"] = _cvec(value)
     out["log_value"] = _cvec(log_value)

@@ -256,6 +256,7 @@ def _direct_sums(
     lp = logp[np.repeat(ends - 1, widths) - np.arange(ends[-1])]
     s = exps[row]
     r = np.exp(-np.minimum(s.real, 1e300) * lp)  # p^-sigma is 0 past 1e300; held there, sigma log p is finite
+    s = np.where(r > 0, s, 0)  # where r is 0 so is the cell: t log p and |s|, which may overflow, are not formed
     if not exps.imag.any():
         cells = 0.5 * np.log1p(r * r - 2 * r)
     else:
@@ -443,7 +444,9 @@ def _necklace_plan(
     w = np.zeros(len(mm), dtype=complex)
     for (al, u, v), ml in zip(terms, idx.T):
         c *= complex(al) ** ml  # complex: an integer a_l must not wrap in int64
-        w += ml * (u * s + v)
+        e = u * s + v
+        # p^-e is 0 past Re e = 1e300 (as in _direct_cut); held there, m e and f w stay finite
+        w += ml * complex(min(e.real, 1e300), e.imag)
     live = (mm != 0) & (c != 0)
     mm, c, w = mm[live], c[live], w[live]
     plan: dict[complex, complex] = {}

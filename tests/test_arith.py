@@ -55,13 +55,13 @@ def test_sieve_count_1e6(primes_1e6):
 
 def test_sieve_segment_boundaries():
     # limit straddling a segment edge must not lose or duplicate primes
-    limit = (1 << 20) + 1000
+    limit = 2 * arith._SEGMENT + 1000
     seg = sieve(limit).primes
     assert len(seg) == len(set(seg.tolist()))
     assert np.array_equal(seg, np.flatnonzero(_eratosthenes_flags(limit)))
 
 
-def _concatenated_sieve(limit, segment=1 << 20):
+def _concatenated_sieve(limit, segment=arith._SEGMENT):
     """The earlier sieve: every integer flagged, one int64 chunk per segment, joined at the end."""
     base = np.flatnonzero(_eratosthenes_flags(max(math.isqrt(limit), 2)))
     chunks = []
@@ -85,16 +85,34 @@ def _eratosthenes_flags(limit):
     return flags
 
 
+_EDGE = 2 * arith._SEGMENT
+
+
 @pytest.mark.parametrize(
     "limit",
-    [2, 3, 4, 9, 2**21 - 1, 2**21, 2**21 + 1, 2**21 + 2, 3 * 2**20 + 1, 10**7],
+    [2, 3, 4, 9, _EDGE - 1, _EDGE, _EDGE + 1, _EDGE + 2, 3 * _EDGE // 2 + 1, 10**7],
 )
 def test_odd_only_sieve_matches_the_concatenated_one(limit):
-    # segments of 2^20 odd numbers end at the integers 2^21 k
+    # segments of _SEGMENT odd numbers end at the integers 2 _SEGMENT k
     got = sieve(limit).primes
     want = _concatenated_sieve(limit)
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, segment",
+    [(0, 2, 1), (2, 2, 4), (3, 3, 1), (1, 100, 1), (1, 100, 3), (4, 4, 8), (90, 96, 2),
+     (999_983, 999_983, 5), (999_984, 1_000_002, 4), (10**6, 1_100_000, 1 << 10),
+     (5, 3 * 2**20 + 1, 1 << 17), (0, 10**6, arith._SEGMENT)],
+)
+def test_prime_segments_yield_the_primes_of_a_range_once(primes_1e6, lo, hi, segment):
+    # segment edges fall inside the range, on its ends, and past it; 999,983 is prime
+    table = primes_1e6 if hi <= 10**6 else sieve(hi)
+    chunks = list(arith.prime_segments(lo, hi, segment))
+    got = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, table.in_range(lo, hi))
 
 
 def test_prime_count_majorant_holds_up_to_1e6(primes_1e6):

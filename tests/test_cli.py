@@ -306,6 +306,45 @@ def test_huge_re_s_past_a_small_prime_is_summed_directly(capsys, argv):
     assert 0 < payload["bound"] < 1e-300
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ap", "--s", "1e308,1e308", "--P", "7"],
+        ["ap", "--s", "1.7e308,1.7e308", "--P", "7"],  # |s| overflows too
+        ["multi", "--terms=0.1,0,1,0", "--s", "1e307", "--P", "100"],
+        ["multi", "--terms=0.1,0,1,0", "--s", "1e308", "--P", "100"],
+        ["multi", "--terms=0.1,0,1,0;0.1,0,2,0", "--s", "1e308", "--P", "100"],  # u s overflows
+    ],
+)
+def test_huge_s_where_p_to_the_minus_s_is_zero_returns_a_bound_without_warning(capsys, argv):
+    # t log p, sigma log P and m (u s + v) used to overflow: three to five RuntimeWarnings,
+    # then exit 2 (ap, multi at 1e308) or a traceback under -W error (multi at 1e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run([*argv, "--json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["log_value"] == [0.0, 0.0]
+    assert 0 < payload["bound"] < 1e-17  # the ap tail allowances, or the multi structural bound
+
+
+def test_the_oracle_flag_does_not_change_what_is_evaluated(capsys):
+    # the table is max(10^6, 4P) either way: the flag used to widen it to its limit, so
+    # s = 1.14 (branch threshold 2,666,398) exited 0 with the flag and 2 without it
+    assert run(["ap", "--s", "1.14"]) == 2
+    refusal = capsys.readouterr().err
+    assert "threshold" in refusal
+    assert run(["ap", "--s", "1.14", "--check-oracle", "10000000"]) == 2
+    assert capsys.readouterr().err == refusal
+    argv = ["ap", "--s", "2", "--q", "8", "--a", "3", "--json"]
+    assert run(argv) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert run([*argv, "--check-oracle", "10000000"]) == 0
+    checked = json.loads(capsys.readouterr().out)
+    assert [checked[k] for k in ("value", "log_value", "bound")] == [plain[k] for k in ("value", "log_value", "bound")]
+    assert checked["oracle"]["delta"] <= checked["bound"] + checked["oracle"]["tail_bound"]
+
+
 @pytest.mark.parametrize("argv", [["demo", "--L", "1", "--s", "3"], ["demo", "--L", "0"]])
 def test_demo_depth_below_two_exits_two(capsys, argv):
     assert run(argv) == 2

@@ -13,7 +13,7 @@ from apeuler import (
     RationalProductSpec,
     oracle_log_product,
 )
-from apeuler import oracle
+from apeuler import arith, oracle, sieve
 
 
 def test_zeta_inverse_within_tail(primes_1e6):
@@ -30,9 +30,13 @@ def test_empty_prime_range_gives_zero(primes_1e6):
     assert orc.tail_bound > 0
 
 
-def test_limit_above_sieve_rejected(primes_1e6):
-    with pytest.raises(InvalidArgumentError):
-        oracle_log_product(APProductSpec(s=2 + 0j), primes_1e6, 10**7)
+def test_limit_past_sieve_max_refused_before_allocating(primes_1e6, monkeypatch):
+    # a limit above the table is streamed; past SIEVE_MAX it is refused before any array exists
+    monkeypatch.setattr(oracle, "np", None)  # any array work would raise AttributeError
+    monkeypatch.setattr(arith, "np", None)
+    for limit in (arith.SIEVE_MAX + 1, 10**10):
+        with pytest.raises(InvalidArgumentError, match="exceeds the largest supported"):
+            oracle_log_product(APProductSpec(s=2 + 0j), primes_1e6, limit)
 
 
 @pytest.mark.parametrize("limit", [-5, 0, 1])
@@ -116,26 +120,73 @@ _BLOCKED_SPECS = [
 ]
 
 
+@pytest.mark.parametrize("table", ["primes_1e7", "primes_1e6"])
 @pytest.mark.parametrize("spec", _BLOCKED_SPECS)
 @pytest.mark.parametrize("limit", [10**5, 2_000_003, 10**7])
-def test_blocked_sum_matches_the_whole_array_formula(primes_1e7, spec, limit):
-    # 10^5 is inside the first block of 2^16 table primes; 2,000,003 and 10^7 end mid-block
+def test_blocked_sum_matches_the_whole_array_formula(request, primes_1e7, table, spec, limit):
+    # 10^5 is inside the first block of _BLOCK table primes; 2,000,003 and 10^7 end mid-block,
+    # and past a 10^6 table they are streamed
     assert len(primes_1e7.in_range(spec.p_min, limit)) % oracle._BLOCK
     want = _whole_array_log_product(spec, primes_1e7, limit)
-    got = oracle_log_product(spec, primes_1e7, limit).log_value
+    got = oracle_log_product(spec, request.getfixturevalue(table), limit).log_value
     assert abs(got - want) <= 1e-14
+
+
+def _traced_peak(spec, primes, limit):
+    tracemalloc.start()
+    try:
+        oracle_log_product(spec, primes, limit)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("spec", _BLOCKED_SPECS)
 def test_oracle_holds_one_block_at_a_time(primes_1e7, spec):
     # the whole-array formula peaked at 5.7-45.8 MB beyond the table for these specs
-    tracemalloc.start()
-    try:
-        oracle_log_product(spec, primes_1e7, 10**7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert _traced_peak(spec, primes_1e7, 10**7) <= 4 * 2**20
+    # streamed past a table of 25 primes, the peak does not grow with the limit
+    small = sieve(100)
+    streamed = _traced_peak(spec, small, 10**7)
+    assert streamed <= 4 * 2**20
+    assert abs(streamed - _traced_peak(spec, small, 10**6)) <= 0.1 * 2**20
+
+
+def _summed_primes(monkeypatch, spec, primes, limit):
+    """The primes whose terms oracle_log_product forms, in order, and its log value."""
+    seen = []
+    terms = oracle._terms
+
+    def recording(spec, ps):
+        seen.append(ps.astype(np.int64))
+        return terms(spec, ps)
+
+    monkeypatch.setattr(oracle, "_terms", recording)
+    value = oracle_log_product(spec, primes, limit).log_value
+    return np.concatenate(seen) if seen else np.zeros(0, dtype=np.int64), value
+
+
+@pytest.mark.parametrize(
+    "table_limit, spec, limit",
+    [
+        (999_983, APProductSpec(s=1.5 + 1j), 1_000_100),  # the table ends at a prime
+        (999_983, APProductSpec(s=1.5 + 1j), 999_983),  # nothing streamed
+        (999_983, APProductSpec(s=1.5 + 1j, q=30, a=7, p_min=7), 1_200_000),
+        (999_983, APProductSpec(s=1.5 + 1j, q=4, a=1, p_min=999_983), 1_000_033),
+        (1_000, APProductSpec(s=2 + 0j, p_min=1_009), 5_000),  # P above the table, P prime
+        (1_000, APProductSpec(s=2 + 0j, q=4, a=3, p_min=1_500), 5_000),
+        (1_000, MultiTermSpec(terms=((0.5j, 1.0, 0.5),), s=1.5 + 2j, q=30, a=11, p_min=11), 3 * 10**6),
+    ],
+)
+def test_no_prime_is_lost_or_counted_twice_where_the_table_ends(
+    monkeypatch, primes_1e7, table_limit, spec, limit
+):
+    ps = primes_1e7.in_range(spec.p_min, limit)
+    want = ps[ps % spec.q == spec.a % spec.q]
+    got, value = _summed_primes(monkeypatch, spec, sieve(table_limit), limit)
+    assert np.array_equal(got, want)
+    # each prime's term is above 1e-9 here, far over the tolerance
+    assert abs(value - _whole_array_log_product(spec, primes_1e7, limit)) <= 1e-14
 
 
 def test_factor_crossing_zero_in_a_late_block_rejected(primes_1e7):
