@@ -1,8 +1,8 @@
 """Euler products over primes in arithmetic progressions, with rigorous bounds."""
 
 from .arith import (
-    BernoulliCache,
     PrimeTable,
+    bernoulli_numbers,
     euler_phi,
     mobius,
     sieve,
@@ -41,7 +41,6 @@ from .witt import (
 
 __all__ = [
     "APProductSpec",
-    "BernoulliCache",
     "CharacterGroup",
     "DirichletCharacter",
     "EvalParams",
@@ -59,6 +58,7 @@ __all__ = [
     "RationalProductSpec",
     "ValueWithBound",
     "ap_product",
+    "bernoulli_numbers",
     "beta_bound",
     "character_group",
     "continuation_demo",

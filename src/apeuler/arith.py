@@ -1,7 +1,9 @@
 """Exact integer substrate: prime sieve, multiplicative functions, Bernoulli numbers.
 
 Everything here is exact (integers and rationals); floating point enters only
-in the analytic modules built on top.
+in the analytic modules built on top.  Nothing is computed at import: the
+Bernoulli numbers are built by ``bernoulli_numbers`` when the Euler-Maclaurin
+kernel first needs them.
 """
 
 from __future__ import annotations
@@ -179,41 +181,28 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-class BernoulliCache:
-    """Exact Bernoulli numbers B_0, B_1, ... (B_1 = -1/2 convention), grown on demand.
+def bernoulli_numbers(n: int) -> list[Fraction]:
+    """Exact Bernoulli numbers B_0..B_n (B_1 = -1/2 convention), as a list.
 
     The even values come from the integer tangent numbers T_k (tan x =
     sum_k T_k x^(2k-1)/(2k-1)!) by B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1));
     odd values past B_1 are zero.  The T_k follow Brent and Harvey's in-place
     integer recurrence (Algorithm TangentNumbers of "Fast computation of
-    Bernoulli, Tangent and Secant numbers", 2011, arXiv:1108.0286): O(k^2)
+    Bernoulli, Tangent and Secant numbers", 2011, arXiv:1108.0286): O(n^2)
     small-by-big integer products and one Fraction per entry, where the
-    classical sum_j C(m+1, j) B_j = 0 recurrence needs O(k^2) rational sums.
+    classical sum_j C(m+1, j) B_j = 0 recurrence needs O(n^2) rational sums.
     """
-
-    def __init__(self, up_to: int = 2):
-        if up_to < 0:
-            raise InvalidArgumentError("up_to must be >= 0")
-        self._values: list[Fraction] = [Fraction(1)]
-        self.ensure(up_to)
-
-    def ensure(self, n: int) -> None:
-        """Make B_0..B_n available, in one pass that at least doubles the table."""
-        if n < len(self._values):
-            return
-        top = (max(n, 2 * len(self._values)) + 1) // 2  # largest k with B_2k recomputed
-        t = [0, 1] + [0] * (top - 1)  # t[k] = T_k once the passes are done
-        for k in range(2, top + 1):
-            t[k] = (k - 1) * t[k - 1]
-        for k in range(2, top + 1):
-            for j in range(k, top + 1):
-                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-        values = [Fraction(1), Fraction(-1, 2)]
-        for k in range(1, top + 1):
-            values.append(Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)))
-            values.append(_ZERO)
-        self._values = values
-
-    def __getitem__(self, n: int) -> Fraction:
-        self.ensure(n)
-        return self._values[n]
+    if n < 0:
+        raise InvalidArgumentError("n must be >= 0")
+    top = n // 2  # largest k with 2k <= n
+    t = [0, 1] + [0] * (top - 1)  # t[k] = T_k once the passes are done
+    for k in range(2, top + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, top + 1):
+        for j in range(k, top + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    values = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, top + 1):
+        values.append(Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)))
+        values.append(_ZERO)
+    return values[: n + 1]

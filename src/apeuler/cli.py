@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .arith import PrimeTable, check_sieve_limit, sieve
+from .arith import check_sieve_limit, sieve
 from .characters import character_group
 from .engine import (
     _DEMO_TERMS,
@@ -35,12 +35,7 @@ from .engine import (
     multi_term_product,
     rational_product,
 )
-from .errors import (
-    InvalidArgumentError,
-    InvalidSpecError,
-    OutOfDomainError,
-    PrecisionUnreachableError,
-)
+from .errors import InvalidArgumentError, PrecisionUnreachableError
 from .lseries import EvalParams, LSeries
 from .oracle import oracle_log_product
 from .witt import Polynomial, witt_b
@@ -176,17 +171,17 @@ def _params_from_env() -> EvalParams:
         raise InvalidArgumentError(f"EULER_AP_EPS={raw!r}: {e}") from None
 
 
-def _make_lseries(p_min: int, oracle_limit: int | None) -> tuple[LSeries, PrimeTable]:
-    """An LSeries over the primes up to max(10^6, 4P), and that table.
+def _make_lseries(p_min: int, oracle_limit: int | None) -> LSeries:
+    """An LSeries over the primes up to max(10^6, 4P).
 
     The table does not depend on the oracle limit (None for no oracle): the
-    oracle reads the table and sieves the primes past it one segment at a
-    time.  A limit the oracle refuses is refused here, before any table exists.
+    oracle reads the LSeries' table and sieves the primes past it one segment
+    at a time.  A limit the oracle refuses is refused here, before any table
+    exists.
     """
     if oracle_limit is not None:
         check_sieve_limit(oracle_limit, "prime_limit")
-    table = sieve(max(10**6, 4 * p_min))
-    return LSeries(table, _params_from_env()), table
+    return LSeries(sieve(max(10**6, 4 * p_min)), _params_from_env())
 
 
 def _cvec(z: complex) -> list[float]:
@@ -253,8 +248,7 @@ def execute_job(mode: str, spec: dict) -> dict:
     if mode == "oracle":
         product, _ = _build_spec(_read(spec, "kind", _kind), spec)
         limit = _read(spec, "limit")
-        _, table = _make_lseries(product.p_min, limit)
-        orc = oracle_log_product(product, table, limit)
+        orc = oracle_log_product(product, _make_lseries(product.p_min, limit).primes, limit)
         out["log_value"] = _cvec(orc.log_value)
         out["value"] = _cvec(cmath.exp(orc.log_value))
         out["bound"] = orc.tail_bound
@@ -262,13 +256,13 @@ def execute_job(mode: str, spec: dict) -> dict:
 
     product, evaluate = _build_spec(mode, spec)
     oracle_limit = _read(spec, "oracle_limit", default=0)
-    ls, table = _make_lseries(product.p_min, oracle_limit or None)
+    ls = _make_lseries(product.p_min, oracle_limit or None)
     value, log_value, bound = evaluate(ls)
     out["value"] = _cvec(value)
     out["log_value"] = _cvec(log_value)
     out["bound"] = bound
     if oracle_limit:
-        orc = oracle_log_product(product, table, oracle_limit)
+        orc = oracle_log_product(product, ls.primes, oracle_limit)
         out["oracle"] = {
             "log_value": _cvec(orc.log_value),
             "tail_bound": orc.tail_bound,
@@ -308,8 +302,8 @@ def _emit(out: dict, as_json: bool, stream=None) -> None:
         )
 
 
-def _add_product_parser(sub, name: str, help: str, parents: list, **family) -> None:
-    """A subcommand with the shared product flags, the family's own, then --check-oracle."""
+def _add_product_parser(sub, name: str, help: str, parents: list, **family) -> argparse.ArgumentParser:
+    """A subcommand with the shared product flags, then the family's own."""
     p = sub.add_parser(name, help=help, parents=parents)
     p.add_argument("--s", type=_parse_complex, default="2", help="complex exponent 're,im'")
     p.add_argument("--q", type=int, default=1, help="modulus")
@@ -318,8 +312,7 @@ def _add_product_parser(sub, name: str, help: str, parents: list, **family) -> N
     p.add_argument("--L", type=int, default=10, help="truncation depth")
     for flag, kwargs in family.items():
         p.add_argument(f"--{flag}", **kwargs)
-    p.add_argument("--check-oracle", dest="oracle_limit", type=_parse_oracle_limit, metavar="LIMIT",
-                   help="also run the brute-force product over primes <= LIMIT")
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -328,23 +321,28 @@ def _build_parser() -> argparse.ArgumentParser:
     parents = [argparse.ArgumentParser(add_help=False)]
     parents[0].add_argument("--json", action="store_true", help="machine-readable output")
 
-    _add_product_parser(sub, "ap", "prod (1 - p^-s) over p = a mod q, p >= P", parents)
-    _add_product_parser(
-        sub, "rational", "prod (1 - F(1/p)/G(1/p))", parents,
-        F=dict(type=_parse_poly, required=True, help="F coefficients, ascending"),
-        G=dict(type=_parse_poly, default="1", help="G coefficients, ascending"),
-    )
-    _add_product_parser(
-        sub, "multi", "prod (1 - sum_l a_l p^-(u_l s + v_l))", parents,
-        terms=dict(type=_parse_terms, required=True, help="'a_re,a_im,u,v;...'"),
-    )
+    checked = [  # the subcommands that take --check-oracle
+        _add_product_parser(sub, "ap", "prod (1 - p^-s) over p = a mod q, p >= P", parents),
+        _add_product_parser(
+            sub, "rational", "prod (1 - F(1/p)/G(1/p))", parents,
+            F=dict(type=_parse_poly, required=True, help="F coefficients, ascending"),
+            G=dict(type=_parse_poly, default="1", help="G coefficients, ascending"),
+        ),
+        _add_product_parser(
+            sub, "multi", "prod (1 - sum_l a_l p^-(u_l s + v_l))", parents,
+            terms=dict(type=_parse_terms, required=True, help="'a_re,a_im,u,v;...'"),
+        ),
+    ]
 
     p = sub.add_parser("demo", help="analytic-continuation style rebuild of prod (1 + p^-s - p^-(2s-1))",
                        parents=parents)
     p.add_argument("--s", type=_parse_complex, default="2")
     p.add_argument("--nmax", dest="n_max", metavar="NMAX", type=int, default=30, help="largest m1 + 2*m2 kept")
     p.add_argument("--L", type=int, default=10)
-    p.add_argument("--check-oracle", dest="oracle_limit", type=_parse_oracle_limit, metavar="LIMIT")
+    checked.append(p)
+    for p in checked:  # declared last, so oracle_limit ends the spec
+        p.add_argument("--check-oracle", dest="oracle_limit", type=_parse_oracle_limit, metavar="LIMIT",
+                       help="also run the brute-force product over primes <= LIMIT")
 
     _add_product_parser(
         sub, "oracle", "brute-force product only", parents,
@@ -367,12 +365,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _spec_from_args(args: argparse.Namespace) -> tuple[str, dict]:
     """The namespace less the command, --json and unset flags, in declaration order.
 
-    The oracle takes its kind from the family flags (--terms before --F), keeps
-    only that family's flags and ignores --check-oracle.
+    The oracle takes its kind from the family flag it is given, --terms or
+    --F (both are refused), and keeps only that family's flags.
     """
     mode = args.command
     spec = {k: v for k, v in vars(args).items() if v is not None and k not in ("command", "json")}
     if mode == "oracle":
+        if "terms" in spec and "F" in spec:
+            raise InvalidArgumentError("oracle takes --F or --terms, not both")
         kind = "multi" if "terms" in spec else "rational" if "F" in spec else "ap"
         keys = ("s", "q", "a", "P", "L", "kind", *{"ap": (), "rational": ("F", "G"), "multi": ("terms",)}[kind], "limit")
         spec = {k: kind if k == "kind" else spec[k] for k in keys}
@@ -403,7 +403,7 @@ def run(argv: list[str] | None = None) -> int:
     except PrecisionUnreachableError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_PRECISION
-    except (InvalidArgumentError, OutOfDomainError, InvalidSpecError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # InvalidArgumentError and the others subclass ValueError
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_INVALID
 

@@ -163,12 +163,6 @@ class ProductResult:
     def value(self) -> complex:
         return cmath.exp(self.log_value)
 
-    @property
-    def value_interval(self) -> tuple[float, float]:
-        """Multiplicative enclosure of |value|: |value| * e^(+-total_bound)."""
-        r = abs(self.value)
-        return (r * math.exp(-self.total_bound), r * math.exp(self.total_bound))
-
 
 def _log_y_magnitude_majorant(
     sigma: float | np.ndarray, p_min: int, depth: int
@@ -210,15 +204,26 @@ def y_p(
     return ValueWithBound(-total, bound)
 
 
+def _held(exps: np.ndarray) -> np.ndarray:
+    """``exps`` with every real and imaginary part held to [-1e300, 1e300], in a new array.
+
+    Past Re s = 1e300, p^-s is 0 in doubles either way.  Past |Im s| = 1e300
+    the angle t log p keeps no digit, so any angle will do: the rounding
+    u |s| log p that ``_direct_sums`` bounds per prime covers every angle.
+    Held, s log p, |s| and the multiples of s that a plan forms stay finite,
+    so no later step needs a guard of its own against huge exponents.
+    """
+    return np.clip(exps.view(float), -1e300, 1e300).view(complex)
+
+
 def _direct_cut(sigma: np.ndarray, p_min: int, limit: int) -> np.ndarray:
     """Per sigma, the smallest X whose tail bound 2 sigma/(sigma-1) (X+1)^(1-sigma) is <= u P^-sigma.
 
     That majorizes sum_{n > X} |log(1 - n^-s)| by |log(1 - z)| <= 2|z|.  The
     cut is 0 where X would pass min(_DIRECT_CAP, limit): the prime table must
-    reach X.  Past sigma = 1e300 the cut is P, so sigma is held there and
-    sigma log P stays finite.
+    reach X.  sigma comes held (``_held``), so sigma log P stays finite; past
+    sigma = 1e300 the cut is P.
     """
-    sigma = np.minimum(sigma, 1e300)
     log_x1 = (sigma * math.log(p_min) - np.log(_U / 2 * ((sigma - 1) / sigma))) / (sigma - 1)
     fits = log_x1 <= math.log(min(_DIRECT_CAP, limit) + 1)
     cut = np.maximum(p_min, np.ceil(np.exp(np.where(fits, log_x1, 0.0))) - 1)
@@ -243,7 +248,8 @@ def _direct_sums(
     call, a cell is off by at most u r (20 |s_j| log p + 40); a row, summed
     from its smallest cell, adds u sum_k (|Re S_k| + |Im S_k|) over its
     partial sums S_k; the caller's product with c_j and its fsum add 8 u sum r.
-    Each cell, and each row for its tail, adds 2^-1000 for underflow.
+    Each cell, and each row for its tail, adds 2^-1000 for underflow.  The
+    exponents come held (``_held``), so s_j log p and |s_j| are finite.
     """
     ps = primes.in_range(p_min, int(xs.max()))
     ps = ps[ps % q == a % q]
@@ -255,8 +261,7 @@ def _direct_sums(
     row = np.repeat(order, widths)  # per cell; a row's cells run from its largest prime down
     lp = logp[np.repeat(ends - 1, widths) - np.arange(ends[-1])]
     s = exps[row]
-    r = np.exp(-np.minimum(s.real, 1e300) * lp)  # p^-sigma is 0 past 1e300; held there, sigma log p is finite
-    s = np.where(r > 0, s, 0)  # where r is 0 so is the cell: t log p and |s|, which may overflow, are not formed
+    r = np.exp(-s.real * lp)
     if not exps.imag.any():
         cells = 0.5 * np.log1p(r * r - 2 * r)
     else:
@@ -276,12 +281,9 @@ def _direct_sums(
         values[order[i:j]] = partial[:, -1]
         spread[order[i:j]] = np.abs(partial.view(float)).sum(axis=1)
         i = j
-    # r |s| first: at a huge Re s, r is 0 and so is the term, where 20 |s| alone would overflow
     rounding = np.bincount(row, 20 * (r * np.abs(s)) * lp + 48 * r, len(xs)) + spread
     sigma = exps.real
-    # (X + 1)^(1 - sigma) with X + 1 >= 3 is 0 in doubles once sigma > 700: 1 - sigma is
-    # held at -1000 there, which moves no value and keeps the product finite at any sigma
-    tails = 2 * (sigma / (sigma - 1)) * np.exp(np.maximum(1 - sigma, -1000.0) * np.log(xs + 1.0))
+    tails = 2 * (sigma / (sigma - 1)) * np.exp((1 - sigma) * np.log(xs + 1.0))
     return values, tails + _U * rounding + (counts + 1) * 2.0**-1000
 
 
@@ -291,9 +293,9 @@ def _execute(
 ) -> ProductResult:
     """sum_j c_j y_p(s_j) over a term plan {s_j: c_j}, plus the plan's fixed bound.
 
-    Each exponent is evaluated once: one _direct_cut call routes them all, to
-    _direct_sums where the prime cut fits the cap and the prime table, to y_p
-    (in plan order) where it does not.
+    The exponents are held once (``_held``), then each is evaluated once: one
+    _direct_cut call routes them all, to _direct_sums where the prime cut fits
+    the cap and the prime table, to y_p (in plan order) where it does not.
 
     Before the first y_p, every ell * s_j those calls evaluate (s_j a routed
     exponent, ell a depth with nonzero unsieve weights) goes to
@@ -312,7 +314,7 @@ def _execute(
     let through is the floor of a plain one-term plan, which belongs to y_p:
     its log of an L value near 1 loses about u.
     """
-    exps = np.array(list(plan), dtype=complex)
+    exps = _held(np.array(list(plan), dtype=complex))
     coeffs = np.array(list(plan.values()), dtype=complex)
     cuts = _direct_cut(exps.real, p_min, ls.primes.limit)
     direct = cuts > 0
@@ -429,7 +431,8 @@ def _necklace_plan(
 ) -> tuple[dict[complex, complex], float]:
     """Term plan of sum_m M(m) log(1 - c_m p^-w_m) over the multi-indices m of ``shape``.
 
-    c_m = prod_l a_l^m_l and w_m = sum_l m_l (u_l s + v_l).  Each factor
+    c_m = prod_l a_l^m_l and w_m = sum_l m_l (u_l s + v_l), each u_l s + v_l
+    held first (``_held``) so that w_m and f w_m stay finite.  Each factor
     expands as sum_f (kappa_f(c_m)/f) y_p(f w_m), cut at f = L; the fixed bound
     is the kappa tail past the cut, using |kappa_f(c)/f| <= max(1, |c|)^f.
 
@@ -442,11 +445,10 @@ def _necklace_plan(
     idx, mm = _necklace_shape(shape)
     c = np.ones(len(mm), dtype=complex)
     w = np.zeros(len(mm), dtype=complex)
-    for (al, u, v), ml in zip(terms, idx.T):
+    es = _held(np.array([u * s + v for _, u, v in terms], dtype=complex)).tolist()
+    for (al, _, _), e, ml in zip(terms, es, idx.T):
         c *= complex(al) ** ml  # complex: an integer a_l must not wrap in int64
-        e = u * s + v
-        # p^-e is 0 past Re e = 1e300 (as in _direct_cut); held there, m e and f w stay finite
-        w += ml * complex(min(e.real, 1e300), e.imag)
+        w += ml * e
     live = (mm != 0) & (c != 0)
     mm, c, w = mm[live], c[live], w[live]
     plan: dict[complex, complex] = {}
@@ -513,9 +515,8 @@ def continuation_demo(
     which confines the demo to Re s > 1.
     """
     s = complex(s)
-    for arg, name in ((2 * s - 1, "2s-1"), (2 * s, "2s"), (s, "s")):
-        if arg.real <= 1:
-            raise OutOfDomainError(f"zeta argument {name} has real part <= 1")
+    if (2 * s - 1).real <= 1:  # then 2s and s have real part > 1 too
+        raise OutOfDomainError("zeta argument 2s-1 has real part <= 1")
     if n_max < 3:
         raise InvalidArgumentError("n_max must be >= 3")
     if depth < 2:

@@ -13,11 +13,13 @@ evaluates every (s, x) of a list of distinct exponents and a list of x;
 ``_hurwitz_grid`` chooses (N, M) for all its exponents in one array search,
 ``_choose_em``, and makes one kernel call per (N, M) among them.  L(s, chi) is
 formed in one place, ``_l_table``: one such pass over the units r/q, then one
-table product per exponent.  ``LSeries`` keeps two caches: L(s, chi) of
-every character row per (s, q), filled for a whole list of exponents at once;
-and per (s, q, P), the part of a truncated log-L that no row owns (the branch
-cut, and the primes below it as their columns mod q with p^-s), O(pi(P0)) in
-size, with a slot per row for that row's truncated log.
+table product per exponent.  The module ``dirichlet_l`` reads its row of a
+fresh table and ``LSeries.dirichlet_l`` of a cached one, so the two agree bit
+for bit.  ``LSeries`` keeps two caches: L(s, chi) of every character row per
+(s, q), filled for a whole list of exponents at once; and per (s, q, P), the
+part of a truncated log-L that no row owns (the branch cut, and the primes
+below it as their columns mod q with p^-s), O(pi(P0)) in size, with a slot per
+row for that row's truncated log.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .arith import BernoulliCache, PrimeTable
+from .arith import PrimeTable, bernoulli_numbers
 from .characters import CharacterGroup, DirichletCharacter, character_group
 from .errors import (
     InvalidArgumentError,
@@ -98,7 +100,6 @@ _EM_TERMS = 16
 _EM_ORDER = 4
 _MAX_TERMS = 1 << 22
 _MAX_ORDER = 60
-_BERNOULLI = BernoulliCache(130)
 # Largest (row, n) grid evaluated at once by the Euler-Maclaurin kernel; a row is one (s, x).
 _BLOCK_ELEMS = 1 << 20
 
@@ -112,15 +113,16 @@ def _log_abs_fraction(fr) -> float:
 def _em_table() -> np.ndarray:
     """Rows B_2j / (2j)!, log|B_2j| and log (2j)! for j = 0.._MAX_ORDER + 1, as floats.
 
-    Built on first use, so importing the module stays cheap.  Each entry is
-    one scalar expression (``float(B) / (2j)!``, ``_log_abs_fraction``,
-    ``math.lgamma``), so reading it gives the bits forming it per call would.
+    Built on first use, with the Bernoulli numbers under it, so importing the
+    module stays cheap.  Each entry is one scalar expression (``float(B) /
+    (2j)!``, ``_log_abs_fraction``, ``math.lgamma``), so reading it gives the
+    bits forming it per call would.
     """
-    js = range(_MAX_ORDER + 2)
+    evens = bernoulli_numbers(2 * _MAX_ORDER + 2)[::2]  # B_2j for j = 0.._MAX_ORDER + 1
     table = np.array([
-        [float(_BERNOULLI[2 * j]) / math.factorial(2 * j) for j in js],
-        [_log_abs_fraction(_BERNOULLI[2 * j]) for j in js],
-        [math.lgamma(2 * j + 1) for j in js],
+        [float(b) / math.factorial(2 * j) for j, b in enumerate(evens)],
+        [_log_abs_fraction(b) for b in evens],
+        [math.lgamma(2 * j + 1) for j in range(len(evens))],
     ])
     table.flags.writeable = False
     return table
@@ -255,32 +257,29 @@ def hurwitz_zeta(s: complex, x: float, params: EvalParams = EvalParams()) -> Val
     return ValueWithBound(complex(values[0, 0]), float(bounds[0, 0]))
 
 
-def _l_table(
-    exps: list[complex], group: CharacterGroup, params: EvalParams, rows=slice(None)
-) -> list[tuple[list[complex] | complex, float]]:
-    """Per s in ``exps``: L(s, chi) = q^(-s) sum_r chi(r) zeta(s, r/q) for the rows ``rows`` of ``group``.
+def _l_table(exps: list[complex], group: CharacterGroup, params: EvalParams) -> list[tuple[list[complex], float]]:
+    """Per s in ``exps``: L(s, chi) = q^(-s) sum_r chi(r) zeta(s, r/q) for every row of ``group``.
 
     The only place L is formed.  One batched ``_hurwitz_grid`` pass evaluates
     zeta(s, r/q) at every unit r in 1..q for all of ``exps``; then each
-    exponent takes one product of the table rows with its own zeta values,
-    so its L values do not depend on what else shared the pass.  Those
-    values sit at column r mod q of one q-wide vector, 0 at the non-units:
-    taking the unit columns of the table instead would copy a phi(q) x phi(q)
-    block on every call.  The rows share one bound, the scaled sum of that
-    exponent's remainder bounds.  By default every table row is formed, as a
-    list; an int ``rows`` forms that row alone, as one complex, in O(q).
+    exponent takes one product of the character table with its own zeta
+    values, so its L values do not depend on what else shared the pass.
+    Those values sit at column r mod q of one q-wide vector, 0 at the
+    non-units: taking the unit columns of the table instead would copy a
+    phi(q) x phi(q) block on every call.  Per exponent the rows come as one
+    list, with one shared bound, the scaled sum of that exponent's remainder
+    bounds.
     """
     q = group.modulus
     r = np.arange(1, q + 1)
     r = r[np.gcd(r, q) == 1]
     zetas, bounds = _hurwitz_grid(exps, r / q, params)
-    table = group.values[rows]
     column = np.zeros(q, dtype=complex)
     out = []
     for s, zeta_r, bound in zip(exps, zetas, bounds.sum(axis=1).tolist()):
         column[r % q] = zeta_r
         scale = cmath.exp(-s * math.log(q)) if q > 1 else 1.0
-        out.append(((scale * (table @ column)).tolist(), abs(scale) * bound))
+        out.append(((scale * (group.values @ column)).tolist(), abs(scale) * bound))
     return out
 
 
@@ -289,12 +288,16 @@ def dirichlet_l(
     chi: DirichletCharacter,
     params: EvalParams = EvalParams(),
 ) -> ValueWithBound:
-    """L(s, chi) for Re s > 1 via q^(-s) * sum_r chi(r) zeta(s, r/q)."""
+    """L(s, chi) for Re s > 1: the row of chi in a fresh ``_l_table`` of its group.
+
+    The same table product ``LSeries.dirichlet_l`` reads from its cache, so
+    the two agree bit for bit; it forms every row of the group, O(phi(q) q).
+    """
     s = complex(s)
     if s.real <= 1:
         raise OutOfDomainError("dirichlet_l requires Re s > 1")
-    value, bound = _l_table([s], chi.group, params, chi.index)[0]
-    return ValueWithBound(value, bound)
+    values, bound = _l_table([s], chi.group, params)[0]
+    return ValueWithBound(values[chi.index], bound)
 
 
 class _Cut(NamedTuple):

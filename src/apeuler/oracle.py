@@ -2,6 +2,9 @@
 
 Each factor satisfies |term(p)| < 1/2 under the engine preconditions, so the
 per-factor principal logs are unambiguous and their sum is the product's log.
+A term is formed in one of two ways: F(1/p)/G(1/p) for a rational product, or
+sum_l a_l p^-(u_l s + v_l) for a multi-term one; an ``ap`` product is summed
+as the one-term multi-term product with (a_1, u_1, v_1) = (1, 1, 0).
 The omitted primes above ``prime_limit`` are covered by an integral-comparison
 tail bound.  The given prime table is read in blocks of _BLOCK primes, and the
 primes past it up to the limit are sieved one segment at a time, so the memory
@@ -16,7 +19,7 @@ import numpy as np
 
 from .arith import PrimeTable, check_sieve_limit, prime_segments
 from .engine import APProductSpec, MultiTermSpec, RationalProductSpec
-from .errors import InvalidArgumentError, InvalidSpecError
+from .errors import InvalidSpecError
 
 ProductSpec = APProductSpec | RationalProductSpec | MultiTermSpec
 
@@ -33,11 +36,8 @@ class OracleResult:
     tail_bound: float
 
 
-def _terms(spec: ProductSpec, ps: np.ndarray) -> np.ndarray:
+def _terms(spec: RationalProductSpec | MultiTermSpec, ps: np.ndarray) -> np.ndarray:
     """term(p) for each p in ps (floats), in a fresh array the caller may overwrite."""
-    if isinstance(spec, APProductSpec):
-        t = -complex(spec.s) * np.log(ps)
-        return np.exp(t, out=t)
     if isinstance(spec, RationalProductSpec):
         x = 1.0 / ps
         num = np.zeros_like(ps, dtype=complex)
@@ -50,18 +50,16 @@ def _terms(spec: ProductSpec, ps: np.ndarray) -> np.ndarray:
             den += c
         num /= den
         return num
-    if isinstance(spec, MultiTermSpec):
-        s = complex(spec.s)
-        logp = np.log(ps)
-        acc = np.zeros_like(ps, dtype=complex)
-        z = np.empty_like(acc)
-        for al, u, v in spec.terms:
-            np.multiply(-(u * s + v), logp, out=z)
-            np.exp(z, out=z)
-            z *= al
-            acc += z
-        return acc
-    raise InvalidArgumentError(f"unsupported spec type {type(spec).__name__}")
+    s = complex(spec.s)
+    logp = np.log(ps)
+    acc = np.zeros_like(ps, dtype=complex)
+    z = np.empty_like(acc)
+    for al, u, v in spec.terms:
+        np.multiply(-(u * s + v), logp, out=z)
+        np.exp(z, out=z)
+        z *= al
+        acc += z
+    return acc
 
 
 def _log_factors(t: np.ndarray) -> np.ndarray:
@@ -72,12 +70,9 @@ def _log_factors(t: np.ndarray) -> np.ndarray:
     return np.log(t, out=t)
 
 
-def _tail_bound(spec: ProductSpec, prime_limit: int) -> float:
+def _tail_bound(spec: RationalProductSpec | MultiTermSpec, prime_limit: int) -> float:
     """1.5 * C * integral_{limit}^inf t^(-sigma_min) dt, C the coefficient mass."""
-    if isinstance(spec, APProductSpec):
-        sigma_min = complex(spec.s).real
-        c = 1.0
-    elif isinstance(spec, RationalProductSpec):
+    if isinstance(spec, RationalProductSpec):
         j0 = next(j for j, cf in enumerate(spec.f.coeffs) if cf != 0)
         sigma_min = float(j0)
         g_mass = sum(abs(cf) for cf in spec.g.coeffs[1:])
@@ -91,7 +86,7 @@ def _tail_bound(spec: ProductSpec, prime_limit: int) -> float:
     return 1.5 * c * prime_limit ** (1 - sigma_min) / (sigma_min - 1)
 
 
-def _block_log(spec: ProductSpec, block: np.ndarray) -> complex:
+def _block_log(spec: RationalProductSpec | MultiTermSpec, block: np.ndarray) -> complex:
     """sum of log(1 - term(p)) over the primes of ``block`` with p = a mod q."""
     if spec.q > 1:
         block = block[block % spec.q == spec.a % spec.q]
@@ -109,8 +104,11 @@ def oracle_log_product(
     up to the limit, are sieved _STREAM_SEGMENT odd numbers at a time.  Each
     block's logs are formed in place, so no temporary grows with the limit.
     A limit below 2 or past SIEVE_MAX is refused before any array exists.
+    An ``ap`` spec is summed as the one-term multi-term product it is.
     """
     check_sieve_limit(prime_limit, "prime_limit")
+    if isinstance(spec, APProductSpec):
+        spec = MultiTermSpec(((1, 1, 0),), spec.s, spec.q, spec.a, spec.p_min, spec.depth)
     ps = primes.in_range(spec.p_min, min(prime_limit, primes.limit))
     log_value = 0j
     for lo in range(0, len(ps), _BLOCK):

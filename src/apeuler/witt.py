@@ -38,12 +38,6 @@ class Polynomial:
     def coeff(self, j: int) -> complex:
         return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0j
 
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial.of([self.coeff(j) - other.coeff(j) for j in range(n)])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from apeuler import (
-    BernoulliCache,
     InvalidArgumentError,
+    bernoulli_numbers,
     euler_phi,
     mobius,
     sieve,
@@ -175,7 +175,8 @@ def test_factorize_reconstructs():
 
 
 def test_bernoulli_values():
-    b = BernoulliCache(12)
+    b = bernoulli_numbers(12)
+    assert len(b) == 13
     assert b[0] == 1
     assert b[1] == Fraction(-1, 2)
     assert b[2] == Fraction(1, 6)
@@ -194,18 +195,10 @@ def _bernoulli_by_recurrence(n):
 
 def test_bernoulli_table_matches_the_recurrence():
     reference = _bernoulli_by_recurrence(130)
-    b = BernoulliCache(130)
-    assert [b[n] for n in range(131)] == reference
-
-
-def test_bernoulli_cache_grows_on_demand():
-    reference = _bernoulli_by_recurrence(150)
-    b = BernoulliCache(4)
-    assert b[122] == reference[122]
-    assert b[123] == 0
-    assert [b[n] for n in range(151)] == reference
-    step = BernoulliCache(0)
-    assert [step[n] for n in range(151)] == reference
+    assert bernoulli_numbers(130) == reference
+    assert [bernoulli_numbers(n) for n in range(6)] == [reference[: n + 1] for n in range(6)]
+    with pytest.raises(InvalidArgumentError):
+        bernoulli_numbers(-1)
 
 
 def test_bernoulli_build_makes_one_fraction_per_entry(monkeypatch):
@@ -218,5 +211,5 @@ def test_bernoulli_build_makes_one_fraction_per_entry(monkeypatch):
             return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(arith, "Fraction", Counted)
-    BernoulliCache(130)
+    bernoulli_numbers(130)
     assert len(made) <= 140

@@ -328,6 +328,46 @@ def test_huge_s_where_p_to_the_minus_s_is_zero_returns_a_bound_without_warning(c
     assert 0 < payload["bound"] < 1e-17  # the ap tail allowances, or the multi structural bound
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ap", "--s", "10,1.7e308", "--P", "2"], 0),
+        (["multi", "--terms=0.1,0,1,0", "--s", "1e308,1e308", "--P", "100"], 0),
+        (["multi", "--terms=0.1,0,1,0;0.2,0,2,-1", "--s", "1e308,-1e308", "--P", "100"], 0),
+        (["multi", "--terms=0.1,0,1,0", "--s", "2,1e308", "--P", "100"], 3),
+    ],
+)
+def test_huge_im_s_is_held_without_warning(capsys, argv, code):
+    # t log p and m (u s + v) used to overflow: a RuntimeWarning traceback under -W error,
+    # and without it exit 2 (ap), a value after overflow warnings (multi), or exit 3 after them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run([*argv, "--json"]) == code
+    out, err = capsys.readouterr()
+    if code == 3:
+        assert "Euler-Maclaurin cannot reach eps" in err
+        return
+    payload = json.loads(out)
+    if argv[0] == "ap":  # the angle t log p keeps no digit: the bound covers every angle
+        assert math.isfinite(payload["bound"]) and payload["bound"] > 1
+    else:  # p^-s is 0 at every prime
+        assert payload["log_value"] == [0.0, 0.0]
+        assert 0 < payload["bound"] < 1e-17
+
+
+def test_oracle_subcommand_refuses_check_oracle(capsys):
+    # it used to be accepted and ignored
+    assert run(["oracle", "--limit", "1000", "--check-oracle", "5000"]) == 2
+    assert "unrecognized arguments: --check-oracle 5000" in capsys.readouterr().err
+
+
+def test_oracle_subcommand_refuses_f_with_terms(capsys):
+    # --terms used to win and --F to be dropped
+    assert run(["oracle", "--F", "0,0,0.5", "--terms=0.5,0,1,0", "--P", "5", "--limit", "1000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--F or --terms, not both" in err
+
+
 def test_the_oracle_flag_does_not_change_what_is_evaluated(capsys):
     # the table is max(10^6, 4P) either way: the flag used to widen it to its limit, so
     # s = 1.14 (branch threshold 2,666,398) exited 0 with the flag and 2 without it

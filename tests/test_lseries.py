@@ -17,8 +17,10 @@ from apeuler import (
     dirichlet_l,
     hurwitz_zeta,
 )
-from apeuler.lseries import _choose_em, _hurwitz_em, _hurwitz_grid, _l_table
+from apeuler.arith import bernoulli_numbers
+from apeuler.lseries import _MAX_ORDER, _choose_em, _hurwitz_em, _hurwitz_grid, _l_table
 
+BERNOULLI = bernoulli_numbers(2 * _MAX_ORDER + 2)  # every B_2j the kernel reads
 GRID_S = [complex(sig, im) for sig in (1.5, 2.0, 3.0) for im in (0.0, 1.0)]
 
 
@@ -126,14 +128,14 @@ def test_kernel_blocks_change_no_bit(monkeypatch, block):
 @settings(max_examples=60, deadline=None)
 def test_remainder_majorant_matches_the_per_exponent_formula(exps, xs, order):
     # log K(M) = log|s+2M+1| - log(sigma+2M+1) + log|B_2M+2| - log (2M+2)! + sum_j<2M+1 log|s+j|
-    from apeuler.lseries import _BERNOULLI, _log_abs_fraction
+    from apeuler.lseries import _log_abs_fraction
 
     _, bounds = _hurwitz_em(np.array(exps), np.array(xs), 16, order)
     top = 2 * order + 1
     for si, row in zip(exps, bounds):
         log_k = (
             math.log(abs(si + top)) - math.log(si.real + top)
-            + _log_abs_fraction(_BERNOULLI[2 * order + 2]) - math.lgamma(2 * order + 3)
+            + _log_abs_fraction(BERNOULLI[2 * order + 2]) - math.lgamma(2 * order + 3)
             + sum(math.log(abs(si + j)) for j in range(top))
         )
         for xj, b in zip(xs, row):
@@ -158,7 +160,7 @@ def _choose_em_scalar(s: complex, x: float, params: EvalParams) -> tuple[int, in
 
     (0, 0) stands for its refusal: no M gives an N within the ceiling.
     """
-    from apeuler.lseries import _BERNOULLI, _EM_ORDER, _EM_TERMS, _MAX_ORDER, _MAX_TERMS, _log_abs_fraction
+    from apeuler.lseries import _EM_ORDER, _EM_TERMS, _MAX_TERMS, _log_abs_fraction
 
     sigma = s.real
     log_eps = math.log(params.target_eps)
@@ -174,7 +176,7 @@ def _choose_em_scalar(s: complex, x: float, params: EvalParams) -> tuple[int, in
         log_k = (
             math.log(abs(s + 2 * m + 1))
             - math.log(sigma + 2 * m + 1)
-            + _log_abs_fraction(_BERNOULLI[2 * m + 2])
+            + _log_abs_fraction(BERNOULLI[2 * m + 2])
             - math.lgamma(2 * m + 3)
             + log_poch
         )
@@ -388,25 +390,24 @@ def test_a_second_row_at_one_cut_reuses_its_l_product_and_prime_powers(primes_1e
     products, prime_lists = [], []
     l_table, below = lseries._l_table, PrimeTable.below
     monkeypatch.setattr(
-        lseries, "_l_table",
-        lambda exps, group, params, *rows: products.append((exps, *rows)) or l_table(exps, group, params, *rows),
+        lseries, "_l_table", lambda exps, group, params: products.append(exps) or l_table(exps, group, params)
     )
     monkeypatch.setattr(PrimeTable, "below", lambda self, bound: prime_lists.append(bound) or below(self, bound))
     ls = LSeries(primes_1e6)
     s = 1.5 + 3j  # P0 = 6: the factors at 2, 3 and 5 are removed
     chars = character_group(5).characters
     ls.fill_l_tables([s], 5)
-    assert (products, prime_lists) == ([([s],)], [])
+    assert (products, prime_lists) == ([[s]], [])
     ls.log_truncated_l(s, chars[1], 2)
-    assert (products, prime_lists) == ([([s],)], [6])
+    assert (products, prime_lists) == ([[s]], [6])
     for chi in chars:
         ls.log_truncated_l(s, chi, 2)
-    assert (products, prime_lists) == ([([s],)], [6])
+    assert (products, prime_lists) == ([[s]], [6])
     ls.log_truncated_l(s, chars[1], 3)  # another P is another cut entry, with the same L values
-    assert (products, prime_lists) == ([([s],)], [6, 6])
-    for chi in chars:  # LSeries.dirichlet_l reads the same cached L values
-        assert ls.dirichlet_l(s, chi).value == pytest.approx(dirichlet_l(s, chi).value, rel=1e-15, abs=0)
-    assert products[1:] == [([s], chi.index) for chi in chars]  # the module dirichlet_l forms its own row alone
+    assert (products, prime_lists) == ([[s]], [6, 6])
+    for chi in chars:  # LSeries.dirichlet_l reads the cached table, the module dirichlet_l a fresh one
+        assert ls.dirichlet_l(s, chi) == dirichlet_l(s, chi)
+    assert products[1:] == [[s]] * len(chars)
 
 
 def test_each_row_log_is_formed_once_per_cut_entry(primes_1e6):
@@ -470,6 +471,7 @@ def test_a_cut_near_sigma_one_holds_its_primes_not_a_table_of_them(primes_1e6):
     t=st.floats(min_value=-30.0, max_value=30.0),
 )
 @example(q=210, p_min=11, sigma=1.2000001, t=17.2)  # P0 = 5302: 701 primes below the cut
+@example(q=101, p_min=7, sigma=1.2000000000000002, t=19.5)  # failed while the two dirichlet_l paths differed
 @settings(max_examples=25, deadline=None)
 def test_log_truncated_l_matches_dirichlet_l_times_its_euler_factors(primes_1e6, q, p_min, sigma, t):
     from apeuler import LSeries

@@ -197,3 +197,13 @@ def test_factor_crossing_zero_in_a_late_block_rejected(primes_1e7):
     assert oracle_log_product(spec, primes_1e7, 4_999_999).log_value != 0
     with pytest.raises(InvalidSpecError, match="touches or crosses 0"):
         oracle_log_product(spec, primes_1e7, 10**7)
+
+
+@pytest.mark.parametrize("s", [2 + 0j, 1.5 + 1j, 12 + 0j, 40 + 1e6j])
+@pytest.mark.parametrize("q, a, p_min", [(1, 1, 2), (4, 3, 11), (101, 7, 2)])
+@pytest.mark.parametrize("limit", [10**5, 2 * 10**6])  # the second runs past the end of the table
+def test_ap_sums_as_its_one_term_multi_product(primes_1e6, s, q, a, p_min, limit):
+    # the term (a_1, u_1, v_1) = (1, 1, 0) as ``multi --terms=1,0,1,0`` parses it
+    ap = oracle_log_product(APProductSpec(s=s, q=q, a=a, p_min=p_min), primes_1e6, limit)
+    multi = MultiTermSpec(terms=((1 + 0j, 1.0, 0.0),), s=s, q=q, a=a, p_min=p_min)
+    assert repr(ap) == repr(oracle_log_product(multi, primes_1e6, limit))
