@@ -2,7 +2,6 @@
 
 from .arith import (
     PrimeTable,
-    bernoulli_numbers,
     euler_phi,
     mobius,
     sieve,
@@ -58,7 +57,6 @@ __all__ = [
     "RationalProductSpec",
     "ValueWithBound",
     "ap_product",
-    "bernoulli_numbers",
     "beta_bound",
     "character_group",
     "continuation_demo",

@@ -204,8 +204,8 @@ def y_p(
     return ValueWithBound(-total, bound)
 
 
-def _held(exps: np.ndarray) -> np.ndarray:
-    """``exps`` with every real and imaginary part held to [-1e300, 1e300], in a new array.
+def _held(exps: np.ndarray, cap: float = 1e300) -> np.ndarray:
+    """``exps`` with every real and imaginary part held to [-cap, cap], in a new array.
 
     Past Re s = 1e300, p^-s is 0 in doubles either way.  Past |Im s| = 1e300
     the angle t log p keeps no digit, so any angle will do: the rounding
@@ -213,7 +213,7 @@ def _held(exps: np.ndarray) -> np.ndarray:
     Held, s log p, |s| and the multiples of s that a plan forms stay finite,
     so no later step needs a guard of its own against huge exponents.
     """
-    return np.clip(exps.view(float), -1e300, 1e300).view(complex)
+    return np.clip(exps.view(float), -cap, cap).view(complex)
 
 
 def _direct_cut(sigma: np.ndarray, p_min: int, limit: int) -> np.ndarray:
@@ -431,8 +431,12 @@ def _necklace_plan(
 ) -> tuple[dict[complex, complex], float]:
     """Term plan of sum_m M(m) log(1 - c_m p^-w_m) over the multi-indices m of ``shape``.
 
-    c_m = prod_l a_l^m_l and w_m = sum_l m_l (u_l s + v_l), each u_l s + v_l
-    held first (``_held``) so that w_m and f w_m stay finite.  Each factor
+    c_m = prod_l a_l^m_l and w_m = sum_l m_l (u_l s + v_l).  s is held first
+    (``_held``) at 1e300 / max(1, |u_l|), so every u_l s is finite and Im w_m
+    is t sum_l m_l u_l for one held t: two exponents merge only where they
+    merge at the true s, and no coefficient that bounds an angle cancels.
+    Each u_l s + v_l is then held at 1e300, which moves only Re parts past
+    1e300, where p^-w is 0, so that w_m and f w_m stay finite.  Each factor
     expands as sum_f (kappa_f(c_m)/f) y_p(f w_m), cut at f = L; the fixed bound
     is the kappa tail past the cut, using |kappa_f(c)/f| <= max(1, |c|)^f.
 
@@ -445,6 +449,7 @@ def _necklace_plan(
     idx, mm = _necklace_shape(shape)
     c = np.ones(len(mm), dtype=complex)
     w = np.zeros(len(mm), dtype=complex)
+    s = complex(_held(np.array([s]), 1e300 / max(1.0, *(abs(u) for _, u, _ in terms)))[0])
     es = _held(np.array([u * s + v for _, u, v in terms], dtype=complex)).tolist()
     for (al, _, _), e, ml in zip(terms, es, idx.T):
         c *= complex(al) ** ml  # complex: an integer a_l must not wrap in int64

@@ -7,13 +7,12 @@ import pytest
 
 from apeuler import (
     InvalidArgumentError,
-    bernoulli_numbers,
     euler_phi,
     mobius,
     sieve,
 )
 from apeuler import arith
-from apeuler.arith import divisors, factorize
+from apeuler.arith import bernoulli_numbers, divisors, factorize
 
 
 def _trial_division_primes(limit):

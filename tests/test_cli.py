@@ -335,11 +335,14 @@ def test_huge_s_where_p_to_the_minus_s_is_zero_returns_a_bound_without_warning(c
         (["multi", "--terms=0.1,0,1,0", "--s", "1e308,1e308", "--P", "100"], 0),
         (["multi", "--terms=0.1,0,1,0;0.2,0,2,-1", "--s", "1e308,-1e308", "--P", "100"], 0),
         (["multi", "--terms=0.1,0,1,0", "--s", "2,1e308", "--P", "100"], 3),
+        (["multi", "--terms=1,0,1,22;-1,0,2,2", "--s", "20,1e301", "--P", "5"], 0),
     ],
 )
 def test_huge_im_s_is_held_without_warning(capsys, argv, code):
     # t log p and m (u s + v) used to overflow: a RuntimeWarning traceback under -W error,
-    # and without it exit 2 (ap), a value after overflow warnings (multi), or exit 3 after them
+    # and without it exit 2 (ap), a value after overflow warnings (multi), or exit 3 after them.
+    # Held term by term, s + 22 and 2 s + 2 both became 42 + 1e300 i: their coefficients
+    # 1 and -1 cancelled in the plan and took their angle bound with them (bound 3e-5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run([*argv, "--json"]) == code
@@ -348,7 +351,7 @@ def test_huge_im_s_is_held_without_warning(capsys, argv, code):
         assert "Euler-Maclaurin cannot reach eps" in err
         return
     payload = json.loads(out)
-    if argv[0] == "ap":  # the angle t log p keeps no digit: the bound covers every angle
+    if payload["spec"]["s"][0] < 1e300:  # the angle t log p keeps no digit: the bound covers every angle
         assert math.isfinite(payload["bound"]) and payload["bound"] > 1
     else:  # p^-s is 0 at every prime
         assert payload["log_value"] == [0.0, 0.0]

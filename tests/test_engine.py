@@ -585,6 +585,18 @@ def test_necklace_plan_matches_the_per_index_loop_multi(ls6, k):
     assert abs(a.log_value - b.log_value) <= a.total_bound + b.total_bound
 
 
+@pytest.mark.parametrize("s", [2 + 1e301j, 2 - 1e305j])
+def test_necklace_plan_at_a_huge_im_s_merges_only_the_exponents_the_true_s_merges(s):
+    # u s + v held term by term merged s + 2 with 2 s at s = 2 + 1e301 i, and their
+    # coefficients cancelled; held once, s keeps the true plan's exponent partition
+    terms = ((1 + 0j, 1.0, 2.0), (-1 + 0j, 2.0, 0.0))
+    plan, _ = _necklace_plan(terms, s, ("multi", 2, 8), 5, 8)
+    ref, _ = _reference_necklace_plan(terms, s, list(multi_indices(2, 8)), 5, 8)
+    assert all(cmath.isfinite(e) for e in plan)
+    assert len(plan) == len(ref)
+    assert sorted(map(abs, plan.values())) == pytest.approx(sorted(map(abs, ref.values())), rel=1e-15)
+
+
 def test_necklace_plan_runs_kappa_once_per_f_and_m_once_per_index(monkeypatch):
     calls, exact = [], []
     monkeypatch.setattr(engine, "kappa", lambda c, f: calls.append(f) or kappa(c, f))
