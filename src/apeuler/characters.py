@@ -23,10 +23,10 @@ from .arith import divisors, euler_phi, factorize, mobius
 from .errors import InvalidArgumentError
 
 # Largest phi(q) * q accepted.  An ap evaluation mod q peaks near 40 bytes per
-# table entry (tracemalloc, q = 1009 and 2003 at s = 2; q = 1009 at s = 1.15,
-# where the log-L branch cut has about 51,000 primes below it), so the cap
-# allows about 1.3 GB and admits every q up to about 5,800.  The cut itself
-# costs about 110 bytes per prime at its peak, whatever q is.
+# table entry (tracemalloc, q = 1009 and 2003 at s = 2), so the cap allows
+# about 1.3 GB and admits every q up to about 5,800.  A log-L cut costs about
+# 110 bytes per prime below P at its peak, whatever q is (q = 1009, s = 1.15,
+# P = 630,000: about 51,000 primes).
 TABLE_MAX = 1 << 25
 
 
@@ -152,8 +152,6 @@ def _component_dlog(q: int, gens: list[tuple[int, int]]) -> dict[int, tuple[int,
         for (g, _), t in zip(gens, exps):
             v = v * pow(g, t, q) % q
         table[v] = exps
-    if 1 % q not in table:
-        table[1 % q] = ()
     return table
 
 

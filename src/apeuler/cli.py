@@ -273,32 +273,30 @@ def execute_job(mode: str, spec: dict) -> dict:
     return out
 
 
-def _emit(out: dict, as_json: bool, stream=None) -> None:
-    stream = stream or sys.stdout
+def _emit(out: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(out), file=stream)
+        print(json.dumps(out))
         return
     mode = out["mode"]
     if mode == "witt":
         bs = ", ".join(f"{re:.12g}{im:+.12g}i" if im else f"{re:.12g}" for re, im in out["b"])
-        print(f"b = [{bs}]", file=stream)
+        print(f"b = [{bs}]")
         return
     if mode == "characters":
         for i, chi in enumerate(out["characters"]):
             angles = " ".join("." if a is None else a for a in chi["angles"])
-            print(f"chi_{i} (order {chi['order']}): {angles}", file=stream)
+            print(f"chi_{i} (order {chi['order']}): {angles}")
         return
     v = out["value"]
     lv = out["log_value"]
-    print(f"value     = {v[0]:.15g} {v[1]:+.15g}i", file=stream)
-    print(f"log_value = {lv[0]:.15g} {lv[1]:+.15g}i", file=stream)
-    print(f"bound     = {out['bound']:.6g}", file=stream)
+    print(f"value     = {v[0]:.15g} {v[1]:+.15g}i")
+    print(f"log_value = {lv[0]:.15g} {lv[1]:+.15g}i")
+    print(f"bound     = {out['bound']:.6g}")
     if "oracle" in out:
         o = out["oracle"]
         print(
             f"oracle    = {o['log_value'][0]:.15g} {o['log_value'][1]:+.15g}i"
-            f"  (tail {o['tail_bound']:.3g}, delta {o['delta']:.3g})",
-            file=stream,
+            f"  (tail {o['tail_bound']:.3g}, delta {o['delta']:.3g})"
         )
 
 

@@ -302,10 +302,10 @@ def _execute(
     ``LSeries.fill_l_tables`` in one call, after the ``front`` exponents (Re s
     > 1) whose L tables mod q the caller reads afterwards, so every L(s, chi)
     they read comes from one batched Euler-Maclaurin pass.  The batch stops
-    short of the first s_j that ``LSeries._branch_cut`` refuses (Re s_j <= 1,
-    or a branch threshold past the prime table): that refusal is still raised
-    by y_p, in plan order, with its exit code and message, and nothing past
-    it is evaluated.
+    short of the first s_j that ``LSeries._check_branch`` refuses (Re s_j <= 1,
+    P past the prime table, or Re s_j too close to 1 for P): that refusal is
+    still raised by y_p, in plan order, with its exit code and message, and
+    nothing past it is evaluated.
 
     y_p's bound leaves out its own rounding, about u |c_j| for each routed
     exponent.  A plan whose floor u sum |c_j| over those exponents passes the
@@ -325,7 +325,7 @@ def _execute(
         ells = [ell for ell, rows, _ in character_group(q).unsieve_weights(a, depth) if rows]
         for s in routed:
             try:
-                ls._branch_cut(s.real, p_min)
+                ls._check_branch(s.real, p_min)
             except (InvalidArgumentError, OutOfDomainError):
                 break  # y_p refuses s below, in plan order
             batch += [ell * s for ell in ells]
@@ -536,4 +536,9 @@ def continuation_demo(
     z3 = ls.zeta(s).log()
     acc = z3.value - z1.value - z2.value + res.log_value
     bnd = z3.bound + z1.bound + z2.bound + res.total_bound + _demo_tail_majorant(s.real, n_max)
-    return ValueWithBound(acc, bnd).exp()
+    # Rounding of the demo's own operations.  Each zeta-front log is off by at
+    # most 2u + 3u |log|, the four-term sum by 3u times the summed magnitudes,
+    # so acc by u (6 + 7 sum); cmath.exp's own rounding is at most 6u |value|.
+    bnd += _U * (6 + 7 * (abs(z1.value) + abs(z2.value) + abs(z3.value) + abs(res.log_value)))
+    out = ValueWithBound(acc, bnd).exp()
+    return ValueWithBound(out.value, out.bound + 6 * _U * abs(out.value))

@@ -17,9 +17,10 @@ table product per exponent.  The module ``dirichlet_l`` reads its row of a
 fresh table and ``LSeries.dirichlet_l`` of a cached one, so the two agree bit
 for bit.  ``LSeries`` keeps two caches: L(s, chi) of every character row per
 (s, q), filled for a whole list of exponents at once; and per (s, q, P), the
-part of a truncated log-L that no row owns (the branch cut, and the primes
-below it as their columns mod q with p^-s), O(pi(P0)) in size, with a slot per
-row for that row's truncated log.
+part of a truncated log-L that no row owns (the primes below P as their
+columns mod q with p^-s), O(pi(P)) in size, with a slot per row for that row's
+truncated log.  ``LSeries._check_branch`` certifies from zeta(sigma) <
+sigma/(sigma-1) that each such log is the principal log of its value.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -303,9 +303,8 @@ def dirichlet_l(
 class _Cut(NamedTuple):
     """The (s, q, P) entry of a truncated log L_P(s, chi) mod q: what no row owns, and each row's log."""
 
-    cols: np.ndarray  # p mod q for each prime p below the branch cut P0
+    cols: np.ndarray  # p mod q for each prime p below P
     powers: list[complex]  # p^-s for each of those primes
-    start: int  # how many of them lie below P: removed, never added back
     l_values: tuple[list[complex], float]  # the (s, q) entry of the L cache, shared with it
     logs: list[ValueWithBound | None]  # per table row: its truncated log, None until first read
 
@@ -319,11 +318,11 @@ class LSeries:
       zeta(s) is the q = 1 entry, and ``dirichlet_l`` and every truncated
       log-L miss read their row from it.
     * per (s, q, P): one entry, built on the first read of any row: the
-      branch cut P0, the primes below it as their columns mod q with p^-s,
-      and a slot per row for its truncated log-L, formed on that row's first
-      read.  Its size is O(phi(q) + pi(P0)), not O(phi(q) pi(P0)): a row
-      reads chi(p) from the table through the columns, and forms only its
-      own short Euler product, the log and the add-back.
+      primes below P as their columns mod q with p^-s, and a slot per row
+      for its truncated log-L, formed on that row's first read.  Its size is
+      O(phi(q) + pi(P)), not O(phi(q) pi(P)): a row reads chi(p) from the
+      table through the columns, and forms only its own Euler product over
+      those primes and the log.
     """
 
     def __init__(self, primes: PrimeTable, params: EvalParams = EvalParams()):
@@ -379,61 +378,56 @@ class LSeries:
             factor *= 1 - cmath.exp(-s * math.log(int(p)))
         return ValueWithBound(z.value * factor, z.bound * abs(factor))
 
-    def _branch_cut(self, sigma: float, p_min: int) -> int:
-        """P0 = max(P, branch threshold): log_truncated_l removes the Euler factors below it.
+    def _check_branch(self, sigma: float, p_min: int) -> None:
+        """Refuse a (sigma, P) at which the series log of L_P(s, chi) may not be its principal log.
 
-        The threshold is the smallest P0 with 1/((sigma-1)(P0-1)^(sigma-1)) < 0.9.
-        Past it the series log of L_P0 has modulus < 0.9 < pi, so it coincides
-        with the principal log of the value.  The one place the log-L layer
-        refuses: Re s <= 1, P < 2, or P0 past the prime table.  The table test
-        is made on log P0 first, since P0 overflows a double as sigma -> 1.
-        The threshold falls as sigma grows, so a sigma that passes makes every
-        larger one pass.
+        For every chi, |log L_P(s, chi)| <= log zeta_P(sigma) < B with
+        B = log(sigma/(sigma-1)) + sum_{p<P} log(1 - p^-sigma), since
+        zeta(sigma) < sigma/(sigma-1).  B < 3 < pi makes the principal log of
+        L(s, chi) prod_{p<P} (1 - chi(p) p^-s) the series log.
+        The prime sum is formed only where log(sigma/(sigma-1)) >= 3, that is
+        sigma <= 1.0524.  The one place the log-L layer refuses: Re s <= 1,
+        P < 2, P past the prime table, or B >= 3.
         """
         if sigma <= 1:
             raise OutOfDomainError("log_truncated_l requires Re s > 1")
         if p_min < 2:
             raise InvalidArgumentError("log_truncated_l requires P >= 2")
         limit = self.primes.limit
-        log_t = -math.log(0.9 * (sigma - 1)) / (sigma - 1)
-        if log_t > math.log(limit) + 1:
-            raise InvalidArgumentError(f"prime table limit {limit} too small for threshold e^{log_t:.4g}")
-        p0 = max(p_min, math.floor((1.0 / (0.9 * (sigma - 1))) ** (1.0 / (sigma - 1))) + 2)
-        if p0 > limit:
-            raise InvalidArgumentError(f"prime table limit {limit} too small for threshold {p0}")
-        return p0
+        if p_min > limit:
+            raise InvalidArgumentError(f"prime table limit {limit} too small for P={p_min}")
+        b = math.log(sigma / (sigma - 1))
+        if b >= 3:
+            b += sum(math.log1p(-(p ** -sigma)) for p in self.primes.below(p_min).tolist())
+            if b >= 3:
+                raise OutOfDomainError(
+                    f"Re s={sigma:.6g} too close to 1 for P={p_min}: branch bound B={b:.4g} is not below 3"
+                )
 
     def log_truncated_l(
         self, s: complex, chi: DirichletCharacter, p_min: int
     ) -> ValueWithBound:
         """The Dirichlet-series log of L_P(s, chi) = prod_{p>=P} (1 - chi(p) p^-s)^-1.
 
-        Normalized to vanish as Re s -> infinity; computed branch-correctly by
-        removing enough initial Euler factors that the remaining log has
-        modulus below pi, then adding the removed factors back per-factor.
+        Normalized to vanish as Re s -> infinity: the principal log of
+        L(s, chi) prod_{p<P} (1 - chi(p) p^-s), which ``_check_branch``
+        certifies to be that series log.
         """
         s = complex(s)
         q = chi.modulus
         cut = self._cut_cache.get((s, q, p_min))
         if cut is None:
-            primes = self.primes.below(self._branch_cut(s.real, p_min))
+            self._check_branch(s.real, p_min)
+            primes = self.primes.below(p_min)
             powers = [cmath.exp(-s * math.log(p)) for p in primes.tolist()]
-            start = int(np.searchsorted(primes, p_min))
-            cut = _Cut(primes % q, powers, start, self._l_values(s, q), [None] * len(chi.group))
+            cut = _Cut(primes % q, powers, self._l_values(s, q), [None] * len(chi.group))
             self._cut_cache[(s, q, p_min)] = cut
         out = cut.logs[chi.index]
         if out is not None:
             return out
-        terms = zip(chi.group.values[chi.index].take(cut.cols).tolist(), cut.powers)
         factor = 1 + 0j
-        for c, z in islice(terms, cut.start):  # below P: removed, not added back
+        for c, z in zip(chi.group.values[chi.index].take(cut.cols).tolist(), cut.powers):
             factor *= 1 - c * z
-        add_back = 0j
-        for c, z in terms:
-            t = 1 - c * z
-            factor *= t
-            add_back -= cmath.log(t)
         values, bound = cut.l_values
-        log_l, radius = _ball_log(values[chi.index] * factor, bound * abs(factor))
-        out = cut.logs[chi.index] = ValueWithBound(log_l + add_back, radius)
+        out = cut.logs[chi.index] = ValueWithBound(*_ball_log(values[chi.index] * factor, bound * abs(factor)))
         return out

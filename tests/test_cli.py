@@ -164,7 +164,7 @@ def test_unreachable_precision_exit_three(capsys, monkeypatch):
 
 
 def test_plan_refusals_come_before_the_batched_hurwitz_pass(capsys, monkeypatch):
-    # the branch refusal at s = 1.1 is raised before any Hurwitz vector is
+    # the branch refusal at s = 1.04 is raised before any Hurwitz vector is
     # evaluated, so an unreachable target changes neither its exit code nor
     # its message, and no numpy warning is raised on the way
     from apeuler import lseries
@@ -174,9 +174,9 @@ def test_plan_refusals_come_before_the_batched_hurwitz_pass(capsys, monkeypatch)
     monkeypatch.setenv("EULER_AP_EPS", "1e-300")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run(["ap", "--s", "1.1"]) == 2
+        assert run(["ap", "--s", "1.04"]) == 2
     err = capsys.readouterr().err
-    assert "prime table limit" in err and "too small" in err
+    assert "too close to 1 for P=2" in err and "branch bound" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert calls == []
     assert run(["ap", "--s", "2,1e6"]) == 3
@@ -275,7 +275,15 @@ def test_non_finite_numbers_exit_two(capsys, argv):
 )
 def test_re_s_just_above_one_is_refused_for_the_prime_table(capsys, argv):
     assert run(argv) == 2
-    assert "prime table limit" in capsys.readouterr().err
+    assert "too close to 1" in capsys.readouterr().err
+
+
+def test_the_branch_bound_refuses_s_near_one_at_p_two_and_accepts_it_at_p_three(capsys):
+    # B = log(1.05/0.05) = 3.04 at P = 2; the factor at 2 takes it to 2.39 at P = 3
+    assert run(["ap", "--s", "1.05"]) == 2
+    assert capsys.readouterr().err == "error: Re s=1.05 too close to 1 for P=2: branch bound B=3.045 is not below 3\n"
+    assert run(["ap", "--s", "1.05", "--P", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["spec"]["P"] == 3
 
 
 @pytest.mark.parametrize("s", ["1e300", "1e308", "1e308,1e308", "1.7976931348623157e308"])
@@ -373,11 +381,11 @@ def test_oracle_subcommand_refuses_f_with_terms(capsys):
 
 def test_the_oracle_flag_does_not_change_what_is_evaluated(capsys):
     # the table is max(10^6, 4P) either way: the flag used to widen it to its limit, so
-    # s = 1.14 (branch threshold 2,666,398) exited 0 with the flag and 2 without it
-    assert run(["ap", "--s", "1.14"]) == 2
+    # a refusal near Re s = 1 came and went with it; the same refusal stands with and without it
+    assert run(["ap", "--s", "1.04"]) == 2
     refusal = capsys.readouterr().err
-    assert "threshold" in refusal
-    assert run(["ap", "--s", "1.14", "--check-oracle", "10000000"]) == 2
+    assert "branch bound" in refusal
+    assert run(["ap", "--s", "1.04", "--check-oracle", "10000000"]) == 2
     assert capsys.readouterr().err == refusal
     argv = ["ap", "--s", "2", "--q", "8", "--a", "3", "--json"]
     assert run(argv) == 0

@@ -320,9 +320,9 @@ def test_log_truncated_l_far_truncation_small(ls6):
 
 @pytest.mark.parametrize("s", [1.001 + 0j, 1.001 + 5j])
 def test_log_truncated_l_refuses_a_threshold_past_the_table(ls6, s):
-    # the branch threshold P0 is about e^6900 here, beyond a double
+    # the branch bound B = log(1.001/0.001) = 6.9 at P = 2 is not below 3
     chi = character_group(4).characters[1]
-    with pytest.raises(InvalidArgumentError, match="prime table limit"):
+    with pytest.raises(OutOfDomainError, match="too close to 1 for P=2"):
         ls6.log_truncated_l(s, chi, 2)
 
 
@@ -370,9 +370,8 @@ def test_log_modulus_dominated_by_zeta_p(ls6, q, p_min, s):
 
 @pytest.mark.parametrize("q", [1, 4, 5])
 def test_add_back_between_p_and_the_branch_threshold(ls6, q):
-    # GRID_S keeps P0 <= 6; here every prime in [P, P0) is added back after the branch cut
+    # each log is the principal log of its own product, and consecutive ones differ by one factor
     s = 1.3 + 5j
-    assert ls6._branch_cut(s.real, 2) == 80
     for chi in character_group(q).characters:
         step = ls6.log_truncated_l(s, chi, 7).value - ls6.log_truncated_l(s, chi, 11).value
         assert abs(step + cmath.log(1 - chi(7) * cmath.exp(-s * math.log(7)))) <= 1e-15
@@ -382,7 +381,7 @@ def test_add_back_between_p_and_the_branch_threshold(ls6, q):
 
 def test_a_second_row_at_one_cut_reuses_its_l_product_and_prime_powers(primes_1e6, monkeypatch):
     # the L values of every row are formed once per (s, q), by the fill, and
-    # the primes below P0 with their p^-s once per (s, q, P); a miss for
+    # the primes below P with their p^-s once per (s, q, P); a miss for
     # another row runs only its own factors
     from apeuler import LSeries, lseries
     from apeuler.arith import PrimeTable
@@ -394,17 +393,17 @@ def test_a_second_row_at_one_cut_reuses_its_l_product_and_prime_powers(primes_1e
     )
     monkeypatch.setattr(PrimeTable, "below", lambda self, bound: prime_lists.append(bound) or below(self, bound))
     ls = LSeries(primes_1e6)
-    s = 1.5 + 3j  # P0 = 6: the factors at 2, 3 and 5 are removed
+    s = 1.5 + 3j  # at P = 7 the factors at 2, 3 and 5 are removed
     chars = character_group(5).characters
     ls.fill_l_tables([s], 5)
     assert (products, prime_lists) == ([[s]], [])
-    ls.log_truncated_l(s, chars[1], 2)
-    assert (products, prime_lists) == ([[s]], [6])
+    ls.log_truncated_l(s, chars[1], 7)
+    assert (products, prime_lists) == ([[s]], [7])
     for chi in chars:
-        ls.log_truncated_l(s, chi, 2)
-    assert (products, prime_lists) == ([[s]], [6])
-    ls.log_truncated_l(s, chars[1], 3)  # another P is another cut entry, with the same L values
-    assert (products, prime_lists) == ([[s]], [6, 6])
+        ls.log_truncated_l(s, chi, 7)
+    assert (products, prime_lists) == ([[s]], [7])
+    ls.log_truncated_l(s, chars[1], 11)  # another P is another cut entry, with the same L values
+    assert (products, prime_lists) == ([[s]], [7, 11])
     for chi in chars:  # LSeries.dirichlet_l reads the cached table, the module dirichlet_l a fresh one
         assert ls.dirichlet_l(s, chi) == dirichlet_l(s, chi)
     assert products[1:] == [[s]] * len(chars)
@@ -431,19 +430,27 @@ def test_branch_cut_raises_every_log_l_refusal():
 
     ls = LSeries(sieve(100))
     with pytest.raises(OutOfDomainError, match=r"^log_truncated_l requires Re s > 1$"):
-        ls._branch_cut(1.0, 2)
+        ls._check_branch(1.0, 2)
     with pytest.raises(InvalidArgumentError, match=r"^log_truncated_l requires P >= 2$"):
-        ls._branch_cut(2.0, 1)
-    with pytest.raises(InvalidArgumentError, match=r"^prime table limit 100 too small for threshold e\^7013$"):
-        ls._branch_cut(1.001, 2)
-    with pytest.raises(InvalidArgumentError, match=r"^prime table limit 100 too small for threshold 200$"):
-        ls._branch_cut(5.0, 200)
-    assert ls._branch_cut(5.0, 100) == 100
+        ls._check_branch(2.0, 1)
+    with pytest.raises(OutOfDomainError, match=r"^Re s=1.001 too close to 1 for P=2: branch bound B=6.909 is not below 3$"):
+        ls._check_branch(1.001, 2)
+    with pytest.raises(InvalidArgumentError, match=r"^prime table limit 100 too small for P=200$"):
+        ls._check_branch(5.0, 200)
+    assert ls._check_branch(5.0, 100) is None
+    # log(sigma/(sigma-1)) passes 3 below sigma = 1.0524; the primes below P then pull B back under it
+    assert ls._check_branch(1.06, 2) is None
+    with pytest.raises(OutOfDomainError, match=r"^Re s=1.05 too close to 1 for P=2: branch bound B=3.045 is not below 3$"):
+        ls._check_branch(1.05, 2)
+    assert ls._check_branch(1.05, 3) is None
+    assert ls._check_branch(1.01, 17) is None
+    with pytest.raises(OutOfDomainError, match=r"^Re s=1.01 too close to 1 for P=13: "):
+        ls._check_branch(1.01, 13)
 
 
 def test_a_cut_near_sigma_one_holds_its_primes_not_a_table_of_them(primes_1e6):
-    # at sigma = 1.15 the branch cut P0 is about 6.3e5, with about 51,000 primes
-    # below it; a phi(q) x pi(P0) table of chi(p) would take 16 kB per prime at q = 1009
+    # at P = 630,000 the cut holds about 51,000 primes below P; a
+    # phi(q) x pi(P) table of chi(p) would take 16 kB per prime at q = 1009
     import tracemalloc
 
     from apeuler import LSeries
@@ -455,11 +462,11 @@ def test_a_cut_near_sigma_one_holds_its_primes_not_a_table_of_them(primes_1e6):
     ls.fill_l_tables([s], q)
     tracemalloc.start()
     try:
-        ls.log_truncated_l(s, group.characters[1], 2)
+        ls.log_truncated_l(s, group.characters[1], 630_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n = len(ls._cut_cache[(s, q, 2)].cols)
+    n = len(ls._cut_cache[(s, q, 630_000)].cols)
     assert n > 50_000
     assert peak < 256 * n
 
@@ -470,7 +477,7 @@ def test_a_cut_near_sigma_one_holds_its_primes_not_a_table_of_them(primes_1e6):
     sigma=st.floats(min_value=1.2, max_value=12.0, exclude_min=True),
     t=st.floats(min_value=-30.0, max_value=30.0),
 )
-@example(q=210, p_min=11, sigma=1.2000001, t=17.2)  # P0 = 5302: 701 primes below the cut
+@example(q=210, p_min=11, sigma=1.2000001, t=17.2)  # sigma at the floor; every prime below P divides q
 @example(q=101, p_min=7, sigma=1.2000000000000002, t=19.5)  # failed while the two dirichlet_l paths differed
 @settings(max_examples=25, deadline=None)
 def test_log_truncated_l_matches_dirichlet_l_times_its_euler_factors(primes_1e6, q, p_min, sigma, t):
@@ -478,15 +485,12 @@ def test_log_truncated_l_matches_dirichlet_l_times_its_euler_factors(primes_1e6,
 
     s = complex(sigma, t)
     ls = LSeries(primes_1e6)
-    primes = primes_1e6.below(ls._branch_cut(sigma, p_min)).tolist()
+    primes = primes_1e6.below(p_min).tolist()
     for chi in character_group(q).characters:
-        removed, add_back = 1 + 0j, 0j
+        removed = 1 + 0j
         for p in primes:
-            factor = 1 - chi(p) * p**-s
-            removed *= factor
-            if p >= p_min:
-                add_back -= cmath.log(factor)
-        ref = cmath.log(dirichlet_l(s, chi).value * removed) + add_back
+            removed *= 1 - chi(p) * p**-s
+        ref = cmath.log(dirichlet_l(s, chi).value * removed)
         assert abs(ls.log_truncated_l(s, chi, p_min).value - ref) <= 8 * 2.0**-52 * (1 + abs(ref))
 
 

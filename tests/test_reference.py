@@ -2,7 +2,8 @@
 
 For q = 1 the prime zeta function P(s) = sum_p p^-s gives closed forms:
 sum_p log(1 - p^-s) = -sum_k P(ks)/k.  For progressions the reference is the
-prime-by-prime sum of log(1 - p^-s) at 30 digits.
+prime-by-prime sum of log(1 - p^-s) at 30 digits, and for ``demo`` at large
+Re s the prime product itself at 40 digits.
 """
 
 import math
@@ -16,15 +17,15 @@ from apeuler import APProductSpec, ap_product, continuation_demo, engine
 mpmath = pytest.importorskip("mpmath")
 
 
-def _log_prime_product(s):
-    """-sum_k P(ks)/k at 40 digits, for Re s large enough that few k matter."""
+def _log_prime_product(s, tol=1e-45):
+    """-sum_k P(ks)/k at 40 digits, up to the first term below ``tol``."""
     with mpmath.workdps(40):
         s = mpmath.mpc(s)
         total, k = mpmath.mpf(0), 1
         while True:
             term = mpmath.primezeta(k * s) / k
             total -= term
-            if abs(term) < mpmath.mpf(10) ** -45:
+            if abs(term) < tol:
                 return complex(total)
             k += 1
 
@@ -33,6 +34,41 @@ def _log_prime_product(s):
 def test_ap_large_re_s_within_bound_of_prime_zeta(ls6, s):
     res = ap_product(APProductSpec(s=s, q=1, a=1, p_min=2, depth=10), ls6)
     assert abs(res.log_value - _log_prime_product(s)) <= res.total_bound
+
+
+# Re s near 1: at P = 2 the branch bound log(sigma/(sigma-1)) stays below 3
+# down to sigma = 1.0524; at sigma = 1.01 the factors below 17 take it under 3
+NEAR_ONE = [(1.1 + 0j, 2), (1.06 + 0j, 2), (1.1 + 5j, 2), (1.01 + 0j, 17)]
+
+
+@pytest.mark.parametrize("s,p_min", NEAR_ONE)
+def test_ap_near_re_s_one_within_bound_of_prime_zeta(ls6, s, p_min):
+    res = ap_product(APProductSpec(s=s, q=1, a=1, p_min=p_min, depth=10), ls6)
+    # P(k sigma) falls by about 2^-sigma per k, so the terms past tol sum to under 1% of the bound
+    everything = _log_prime_product(s, tol=res.total_bound / 1000)
+    with mpmath.workdps(40):
+        below = mpmath.fsum(mpmath.log(1 - mpmath.mpf(p) ** -mpmath.mpc(s)) for p in ls6.primes.below(p_min).tolist())
+    assert abs(res.log_value - (everything - complex(below))) <= res.total_bound
+
+
+# s where the demo bound used to sit below the rounding of its own value
+DEMO_LARGE_RE_S = [5.5 + 0j, 8 + 0j, 10 + 0j, 20 + 0j, 6 - 2j, 40 + 3j]
+
+
+@pytest.mark.parametrize("s", DEMO_LARGE_RE_S)
+def test_demo_at_large_re_s_within_bound_of_its_prime_product(ls6, primes_1e6, s):
+    # prod_{p <= X} (1 + p^-s - p^(1-2s)) at 40 digits; with |log(1 + z)| <= 2|z|
+    # the primes past X change its log by at most 4 X^(1-sigma)/(sigma-1), under 1% of u
+    res = continuation_demo(s, 30, ls6, depth=10)
+    sigma, u = s.real, 2.0**-53
+    x = math.ceil((400 / ((sigma - 1) * u)) ** (1 / (sigma - 1)))
+    with mpmath.workdps(40):
+        z = mpmath.mpc(s)
+        ref = mpmath.exp(mpmath.fsum(
+            mpmath.log(1 + mpmath.mpf(p) ** -z - mpmath.mpf(p) ** (1 - 2 * z)) for p in primes_1e6.below(x + 1).tolist()
+        ))
+        error = float(abs(res.value - ref))  # at 40 digits: rounding ref to a double would hide u/2
+    assert error <= res.bound
 
 
 def test_demo_two_within_bound_of_prime_zeta(ls6):
