@@ -17,11 +17,11 @@ Necklace plans (multi and the demo) are compiled in array passes over all
 multi-indices at once, from index arrays built once per plan shape; see
 ``_necklace_plan``.
 
-An exponent whose tail past a small prime cut X_j is below rounding (large
-Re s_j) is summed directly over the primes up to X_j, with that tail and the
-rounding in its bound; every other exponent goes through y_p.  One array call
-of ``_direct_cut`` routes every exponent of a plan, and one batched
-Euler-Maclaurin pass fills every L table its y_p calls read.
+An exponent whose tail past a prime cut X_j <= max(10^4, 16 P) is below
+rounding (large Re s_j) is summed directly over the primes up to X_j, with
+that tail and the rounding in its bound; every other exponent goes through
+y_p.  One array call of ``_direct_cut`` routes every exponent of a plan, and
+one batched Euler-Maclaurin pass fills every L table its y_p calls read.
 
 Sign convention: ``y_p`` approximates sum_{p >= P, p = a mod q} log(1 - p^-s)
 itself (it tends to 0 as P grows), so every product is exp of a plain sum.
@@ -38,7 +38,7 @@ import numpy as np
 from .arith import PrimeTable
 from .characters import character_group
 from .errors import InvalidArgumentError, OutOfDomainError, PrecisionUnreachableError
-from .lseries import LSeries, ValueWithBound
+from .lseries import LSeries, ValueWithBound, _held
 from .witt import (
     Polynomial,
     beta_bound,
@@ -50,7 +50,7 @@ from .witt import (
 
 # Unit roundoff of IEEE doubles.
 _U = 2.0**-53
-# Largest prime cut X_j summed directly; an exponent needing more goes to y_p.
+# Largest prime cut X_j summed directly at any P; past it, only up to 16 P.
 _DIRECT_CAP = 10**4
 # Largest (exponent, prime) block of the direct sums' running sums formed at once.
 _DIRECT_BLOCK = 1 << 11
@@ -204,28 +204,17 @@ def y_p(
     return ValueWithBound(-total, bound)
 
 
-def _held(exps: np.ndarray, cap: float = 1e300) -> np.ndarray:
-    """``exps`` with every real and imaginary part held to [-cap, cap], in a new array.
-
-    Past Re s = 1e300, p^-s is 0 in doubles either way.  Past |Im s| = 1e300
-    the angle t log p keeps no digit, so any angle will do: the rounding
-    u |s| log p that ``_direct_sums`` bounds per prime covers every angle.
-    Held, s log p, |s| and the multiples of s that a plan forms stay finite,
-    so no later step needs a guard of its own against huge exponents.
-    """
-    return np.clip(exps.view(float), -cap, cap).view(complex)
-
-
 def _direct_cut(sigma: np.ndarray, p_min: int, limit: int) -> np.ndarray:
     """Per sigma, the smallest X whose tail bound 2 sigma/(sigma-1) (X+1)^(1-sigma) is <= u P^-sigma.
 
     That majorizes sum_{n > X} |log(1 - n^-s)| by |log(1 - z)| <= 2|z|.  The
-    cut is 0 where X would pass min(_DIRECT_CAP, limit): the prime table must
-    reach X.  sigma comes held (``_held``), so sigma log P stays finite; past
-    sigma = 1e300 the cut is P.
+    cut is 0 where X would pass min(limit, max(_DIRECT_CAP, 16 P)), a route by
+    X/P: up to 16 P the sum costs a few times the pi(P) Euler factors through
+    which y_p would cancel L - 1.  sigma comes held (``_held``), so sigma log P
+    stays finite; past sigma = 1e300 the cut is P.
     """
     log_x1 = (sigma * math.log(p_min) - np.log(_U / 2 * ((sigma - 1) / sigma))) / (sigma - 1)
-    fits = log_x1 <= math.log(min(_DIRECT_CAP, limit) + 1)
+    fits = log_x1 <= math.log(min(limit, max(_DIRECT_CAP, 16 * p_min)) + 1)
     cut = np.maximum(p_min, np.ceil(np.exp(np.where(fits, log_x1, 0.0))) - 1)
     return np.where(fits, cut, 0).astype(np.int64)
 
@@ -294,8 +283,8 @@ def _execute(
     """sum_j c_j y_p(s_j) over a term plan {s_j: c_j}, plus the plan's fixed bound.
 
     The exponents are held once (``_held``), then each is evaluated once: one
-    _direct_cut call routes them all, to _direct_sums where the prime cut fits
-    the cap and the prime table, to y_p (in plan order) where it does not.
+    _direct_cut call routes them all, to _direct_sums where a prime cut X_j
+    fits, to y_p (in plan order) where it does not.
 
     Before the first y_p, every ell * s_j those calls evaluate (s_j a routed
     exponent, ell a depth with nonzero unsieve weights) goes to
@@ -312,7 +301,7 @@ def _execute(
     total bound by more than u is refused with PrecisionUnreachableError: its
     coefficients amplify rounding past anything its bound shows.  The one u
     let through is the floor of a plain one-term plan, which belongs to y_p:
-    its log of an L value near 1 loses about u.
+    its L - 1 sums and table products round outside every bound.
     """
     exps = _held(np.array(list(plan), dtype=complex))
     coeffs = np.array(list(plan.values()), dtype=complex)

@@ -2,24 +2,24 @@
 
 Every value comes back as a ``ValueWithBound``: a complex double paired with a
 rigorous absolute radius covering all mathematical truncations.  Floating
-rounding is still left out of these bounds (double precision leaves roughly
-four guard digits at the default target of 1e-14, but log L_P near 1 carries
-an error of about 1e-16 that no bound covers); the engine's direct prime sums
-for large Re s do include theirs.
+rounding is still left out of these bounds: that of the kernel's N-term sums
+and of ``_l_table``'s character-table products (a truncated log reads L - 1,
+so it adds no ulp of 1); the engine's direct prime sums for large Re s do
+include theirs.
 
 ``EvalParams`` holds that target alone; the Euler-Maclaurin (N, M) search
-starts and stops at fixed module constants.  One kernel, ``_hurwitz_em``,
-evaluates every (s, x) of a list of distinct exponents and a list of x;
+starts and stops at fixed module constants.  One kernel, ``_hurwitz_em``, sums
+n^-s over n = qk + r for a list of distinct exponents and a list of r;
 ``_hurwitz_grid`` chooses (N, M) for all its exponents in one array search,
-``_choose_em``, and makes one kernel call per (N, M) among them.  L(s, chi) is
-formed in one place, ``_l_table``: one such pass over the units r/q, then one
-table product per exponent.  The module ``dirichlet_l`` reads its row of a
-fresh table and ``LSeries.dirichlet_l`` of a cached one, so the two agree bit
-for bit.  ``LSeries`` keeps two caches: L(s, chi) of every character row per
-(s, q), filled for a whole list of exponents at once; and per (s, q, P), the
-part of a truncated log-L that no row owns (the primes below P as their
-columns mod q with p^-s), O(pi(P)) in size, with a slot per row for that row's
-truncated log.  ``LSeries._check_branch`` certifies from zeta(sigma) <
+``_choose_em``, and makes one kernel call per (N, M) among them.  L - 1 is
+formed in one place, ``_l_table``: one such pass over the units r, then one
+table product per exponent; each reader of L adds the 1.  The module
+``dirichlet_l`` reads its row of a fresh table and ``LSeries.dirichlet_l`` of a
+cached one, so the two agree bit for bit.  ``LSeries`` keeps two caches: L - 1
+of every character row per (s, q), filled a list of exponents at a time; and
+per (s, q, P), the part of a truncated log-L that no row owns (the primes below
+P as their columns mod q with p^-s), O(pi(P)) in size, with a slot per row for
+its truncated log.  ``LSeries._check_branch`` certifies from zeta(sigma) <
 sigma/(sigma-1) that each such log is the principal log of its value.
 """
 
@@ -44,13 +44,14 @@ from .errors import (
 DEFAULT_TARGET_EPS = 1e-14
 
 
-def _ball_log(v: complex, b: float) -> tuple[complex, float]:
-    """Principal log of the ball of radius b about v, and its radius; refused if the ball holds 0."""
-    r = abs(v)
+def _ball_log(d: complex, b: float) -> tuple[complex, float]:
+    """Principal log of the ball of radius b about 1 + d, and its radius, from d; refused if the ball holds 0."""
+    re, im = d.real, d.imag
+    r = math.hypot(1 + re, im)
     if b >= r:
         raise PrecisionUnreachableError("log of a ball containing 0")
-    # |log(v + d) - log(v)| <= -log(1 - b/|v|)  for |d| <= b < |v|
-    return cmath.log(v), -math.log1p(-b / r)
+    # log1p(2 Re d + |d|^2) keeps a small d's digits; |log(v + e) - log(v)| <= -log(1 - b/|v|) for |e| <= b < |v|
+    return complex(0.5 * math.log1p(re * (2 + re) + im * im), math.atan2(im, 1 + re)), -math.log1p(-b / r)
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class ValueWithBound:
 
     def log(self) -> "ValueWithBound":
         """Principal log; requires the bound ball to stay away from 0."""
-        return ValueWithBound(*_ball_log(self.value, self.bound))
+        return ValueWithBound(*_ball_log(self.value - 1, self.bound))
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,18 @@ _MAX_TERMS = 1 << 22
 _MAX_ORDER = 60
 # Largest (row, n) grid evaluated at once by the Euler-Maclaurin kernel; a row is one (s, x).
 _BLOCK_ELEMS = 1 << 20
+
+
+def _held(exps: np.ndarray, cap: float = 1e300) -> np.ndarray:
+    """``exps`` with every real and imaginary part held to [-cap, cap], in a new array.
+
+    Past Re s = 1e300, n^-s keeps its double at every n >= 1.  Past |Im s| = 1e300
+    the angle t log n keeps no digit, so any angle will do: the rounding u |s| log p
+    that the engine's direct sums bound per prime covers every angle.  Held,
+    s log n, |s| and the multiples of s that a plan forms stay finite, so no
+    later step needs a guard of its own against huge exponents.
+    """
+    return np.clip(exps.view(float), -cap, cap).view(complex)
 
 
 def _log_abs_fraction(fr) -> float:
@@ -162,42 +175,44 @@ def _choose_em(exps: np.ndarray, x: float, params: EvalParams) -> tuple[np.ndarr
 
 
 def _hurwitz_em(
-    exps: np.ndarray, xs: np.ndarray, n_terms: int, order: int
+    exps: np.ndarray, rs: np.ndarray, q: int, n_terms: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maclaurin values of zeta(s, x) for every s in ``exps`` and x in ``xs``, with explicit (N, M).
+    """Euler-Maclaurin values of sum_{k>=0} (qk + r)^-s for every s in ``exps`` and r in ``rs``, with explicit (N, M).
 
-    Returns the values and the remainder majorants as (len(exps), len(xs))
-    arrays.  log(k + x) is formed once per x, and the factors that depend on
-    s alone once per exponent: the Pochhammer symbols in Python's complex
-    arithmetic (numpy's complex product may fuse a multiply-add, and at the
-    few exponents of a call array passes cost more), the log of the
-    remainder constant K(M) in one array expression whose rows do not mix.
-    So each (s, x) comes out bit for bit as it would alone.
+    Returns the values and the remainder majorants as (len(exps), len(rs))
+    arrays; the tail sits at W = qN + r, where the majorant K(M) q^(2M+1)
+    W^(-sigma-2M-1) is |q^-s| times zeta(s, r/q)'s.  log(qk + r) is formed once
+    per r, and once per exponent the Pochhammer symbols, in Python's complex
+    arithmetic (numpy's may fuse a multiply-add), and log K(M), in rows that do
+    not mix: each (s, r) comes out bit for bit as it would alone.  Pochhammer
+    takes s held at 1e40: past it M = 4 (a higher M only raises N <= 2^22 << |s|)
+    and (s)_7 < 1e282; past Re s = 1e40 each correction term is 0 (W > 16), past
+    |Im s| = 1e40 below (2 pi W / (q |s|))^2 < 1e-60 of the majorant.
     """
     s = exps[:, None]
-    k = np.arange(n_terms, dtype=float)
-    value = np.empty((len(exps), len(xs)), dtype=complex)
-    x_block = max(1, _BLOCK_ELEMS // n_terms)  # the (x, n) grid of logs held at once
-    s_block = max(1, _BLOCK_ELEMS // (n_terms * min(x_block, len(xs))))
-    for j in range(0, len(xs), x_block):
-        logs = np.log(k + xs[j : j + x_block, None])
+    qk = q * np.arange(n_terms, dtype=float)
+    value = np.empty((len(exps), len(rs)), dtype=complex)
+    r_block = max(1, _BLOCK_ELEMS // n_terms)  # the (r, k) grid of logs held at once
+    s_block = max(1, _BLOCK_ELEMS // (n_terms * min(r_block, len(rs))))
+    for j in range(0, len(rs), r_block):
+        logs = np.log(qk + rs[j : j + r_block, None])
         for i in range(0, len(exps), s_block):
-            value[i : i + s_block, j : j + x_block] = np.exp(-s[i : i + s_block, :, None] * logs).sum(axis=2)
-    w = xs + n_terms
+            value[i : i + s_block, j : j + r_block] = np.exp(-s[i : i + s_block, :, None] * logs).sum(axis=2)
+    w = q * n_terms + rs
     logw = np.log(w)
-    value += np.exp((1 - s) * logw) / (s - 1) + 0.5 * np.exp(-s * logw)
+    value += np.exp((1 - s) * logw) / (q * (s - 1)) + 0.5 * np.exp(-s * logw)
 
     b_fact, log_b, log_fact = _em_table()
     coeffs = []  # per j: B_2j / (2j)! * (s)_{2j-1}, per exponent
-    poch = listed = exps.tolist()
+    poch = listed = _held(exps, 1e40).tolist()
     for jj, b in enumerate(b_fact[1 : order + 1].tolist(), 1):
         coeffs.append([b * p for p in poch])
         poch = [p * ((e + 2 * jj - 1) * (e + 2 * jj)) for p, e in zip(poch, listed)]
-    wpow = np.exp((-s - 1) * logw)  # w^(-s-2j+1) for the current j
-    w_inv2 = w**-2.0
+    wpow = q * np.exp((-s - 1) * logw)  # q^(2j-1) W^(-s-2j+1) for the current j
+    step = (w / q) ** -2.0
     for c in np.array(coeffs, dtype=complex)[:, :, None]:
         value += c * wpow
-        wpow *= w_inv2
+        wpow *= step
     # remainder majorant, in log space to dodge overflow
     top = 2 * order + 1
     log_k = (
@@ -207,30 +222,30 @@ def _hurwitz_em(
         - log_fact[order + 1]
         + np.log(np.abs(s + np.arange(top))).sum(axis=1)
     )
-    log_bound = log_k[:, None] - (s.real + top) * logw
+    log_bound = log_k[:, None] + top * math.log(q) - (s.real + top) * logw
     return value, np.exp(np.minimum(log_bound, 700.0))
 
 
 def _hurwitz_grid(
-    exps: list[complex], xs: np.ndarray, params: EvalParams
+    exps: list[complex], rs: np.ndarray, q: int, params: EvalParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """zeta(s, x) and remainder bounds for every s in ``exps`` and x in ``xs`` (in (0, 1]).
+    """sum_{k>=0} (qk + r)^-s and remainder bounds for every s in ``exps`` and r in ``rs``.
 
-    Both arrays have one row per exponent.  One array search chooses (N, M)
-    for every s at the smallest x, where the most terms are needed, and the
-    exponents that share an (N, M) go to one kernel call.  The remainder
-    majorant is still checked against target_eps per (s, x); a refusal is
-    raised for the first s, in order, that fails.
+    Both arrays have one row per exponent.  The exponents are held (``_held``);
+    one array search chooses (N, M) for every s at x = min(1, r)/q, where the
+    most terms are needed (1/q for an L table), and the exponents that share an
+    (N, M) go to one kernel call.  Each majorant is still checked against
+    target_eps; a refusal is raised for the first s, in order, that fails.
     """
-    stacked = np.array(exps, dtype=complex)
-    n, m = _choose_em(stacked, float(xs.min()), params)
-    values = np.zeros((len(exps), len(xs)), dtype=complex)
-    bounds = np.zeros((len(exps), len(xs)))
+    stacked = _held(np.array(exps, dtype=complex))
+    n, m = _choose_em(stacked, min(1.0, float(rs.min())) / q, params)
+    values = np.zeros((len(exps), len(rs)), dtype=complex)
+    bounds = np.zeros((len(exps), len(rs)))
     groups, which = np.unique(n * (_MAX_ORDER + 1) + m, return_inverse=True)  # one key per (N, M)
     for g, key in enumerate(groups.tolist()):
         if key:  # key 0 is (0, 0): no (N, M) reaches target_eps
             rows = np.flatnonzero(which == g)
-            values[rows], bounds[rows] = _hurwitz_em(stacked[rows], xs, *divmod(key, _MAX_ORDER + 1))
+            values[rows], bounds[rows] = _hurwitz_em(stacked[rows], rs, q, *divmod(key, _MAX_ORDER + 1))
     unreachable = n == 0
     nonfinite = ~np.isfinite(values).all(axis=1)
     bad = unreachable | nonfinite | (bounds > params.target_eps).any(axis=1)
@@ -247,39 +262,38 @@ def _hurwitz_grid(
 
 
 def hurwitz_zeta(s: complex, x: float, params: EvalParams = EvalParams()) -> ValueWithBound:
-    """zeta(s, x) = sum_{n>=0} (n+x)^(-s) for Re s > 1 and 0 < x <= 1."""
+    """zeta(s, x) = sum_{n>=0} (n+x)^(-s) for Re s > 1 and 0 < x <= 1: the kernel at q = 1, r = x."""
     s = complex(s)
     if s.real <= 1:
         raise OutOfDomainError("hurwitz_zeta requires Re s > 1")
     if not (0 < x <= 1):
         raise OutOfDomainError("hurwitz_zeta requires 0 < x <= 1")
-    values, bounds = _hurwitz_grid([s], np.array([x], dtype=float), params)
+    values, bounds = _hurwitz_grid([s], np.array([x], dtype=float), 1, params)
     return ValueWithBound(complex(values[0, 0]), float(bounds[0, 0]))
 
 
 def _l_table(exps: list[complex], group: CharacterGroup, params: EvalParams) -> list[tuple[list[complex], float]]:
-    """Per s in ``exps``: L(s, chi) = q^(-s) sum_r chi(r) zeta(s, r/q) for every row of ``group``.
+    """Per s in ``exps``: L(s, chi) - 1 = sum_{n>=2} chi(n) n^-s for every row of ``group``.
 
-    The only place L is formed.  One batched ``_hurwitz_grid`` pass evaluates
-    zeta(s, r/q) at every unit r in 1..q for all of ``exps``; then each
-    exponent takes one product of the character table with its own zeta
-    values, so its L values do not depend on what else shared the pass.
-    Those values sit at column r mod q of one q-wide vector, 0 at the
-    non-units: taking the unit columns of the table instead would copy a
-    phi(q) x phi(q) block on every call.  Per exponent the rows come as one
-    list, with one shared bound, the scaled sum of that exponent's remainder
-    bounds.
+    The only place L is formed.  One batched ``_hurwitz_grid`` pass sums n^-s
+    over n = qk + r at every unit r in 1..q for all of ``exps``, r = 1 passed
+    as q + 1 so that n = 1 is left out; then each exponent takes one product
+    of the character table with its own sums, so its rows do not depend on
+    what else shared the pass.  Those sums sit at column r mod q of one
+    q-wide vector, 0 at the non-units: taking the unit columns of the table
+    instead would copy a phi(q) x phi(q) block on every call.  Per exponent
+    the rows come as one list, with one shared bound, the sum of that
+    exponent's remainder bounds.
     """
     q = group.modulus
     r = np.arange(1, q + 1)
     r = r[np.gcd(r, q) == 1]
-    zetas, bounds = _hurwitz_grid(exps, r / q, params)
+    sums, bounds = _hurwitz_grid(exps, np.where(r == 1, q + 1, r), q, params)
     column = np.zeros(q, dtype=complex)
     out = []
-    for s, zeta_r, bound in zip(exps, zetas, bounds.sum(axis=1).tolist()):
-        column[r % q] = zeta_r
-        scale = cmath.exp(-s * math.log(q)) if q > 1 else 1.0
-        out.append(((scale * (group.values @ column)).tolist(), abs(scale) * bound))
+    for sums_r, bound in zip(sums, bounds.sum(axis=1).tolist()):
+        column[r % q] = sums_r
+        out.append(((group.values @ column).tolist(), bound))
     return out
 
 
@@ -297,7 +311,7 @@ def dirichlet_l(
     if s.real <= 1:
         raise OutOfDomainError("dirichlet_l requires Re s > 1")
     values, bound = _l_table([s], chi.group, params)[0]
-    return ValueWithBound(values[chi.index], bound)
+    return ValueWithBound(1 + values[chi.index], bound)
 
 
 class _Cut(NamedTuple):
@@ -312,7 +326,7 @@ class _Cut(NamedTuple):
 class LSeries:
     """Evaluator bundling a prime table, accuracy parameters and two caches.
 
-    * per (s, q): L(s, chi) of every character-table row and their shared
+    * per (s, q): L(s, chi) - 1 of every character-table row and their shared
       bound, one ``_l_table`` entry.  ``fill_l_tables`` builds the missing
       entries of a list of exponents in one batched Euler-Maclaurin pass;
       zeta(s) is the q = 1 entry, and ``dirichlet_l`` and every truncated
@@ -328,11 +342,11 @@ class LSeries:
     def __init__(self, primes: PrimeTable, params: EvalParams = EvalParams()):
         self.primes = primes
         self.params = params
-        self._l_cache: dict = {}  # (s, q) -> (L per table row as a list, shared bound)
+        self._l_cache: dict = {}  # (s, q) -> (L - 1 per table row as a list, shared bound)
         self._cut_cache: dict = {}  # (s, q, P) -> _Cut
 
     def fill_l_tables(self, exps: Iterable[complex], q: int) -> None:
-        """Cache L(s, chi) of every row mod q for every s in ``exps`` (Re s > 1) not cached yet.
+        """Cache L(s, chi) - 1 of every row mod q for every s in ``exps`` (Re s > 1) not cached yet.
 
         The missing exponents go through one ``_l_table`` call: one kernel
         call per Euler-Maclaurin (N, M) among them.
@@ -356,14 +370,14 @@ class LSeries:
         if s.real <= 1:
             raise OutOfDomainError("zeta requires Re s > 1")
         values, bound = self._l_values(s, 1)
-        return ValueWithBound(values[0], bound)
+        return ValueWithBound(1 + values[0], bound)
 
     def dirichlet_l(self, s: complex, chi: DirichletCharacter) -> ValueWithBound:
         s = complex(s)
         if s.real <= 1:
             raise OutOfDomainError("dirichlet_l requires Re s > 1")
         values, bound = self._l_values(s, chi.modulus)
-        return ValueWithBound(values[chi.index], bound)
+        return ValueWithBound(1 + values[chi.index], bound)
 
     def zeta_p(self, s: complex, p_min: int) -> ValueWithBound:
         """zeta with Euler factors below p_min removed: zeta(s) * prod_{p<P} (1 - p^-s)."""
@@ -411,7 +425,8 @@ class LSeries:
 
         Normalized to vanish as Re s -> infinity: the principal log of
         L(s, chi) prod_{p<P} (1 - chi(p) p^-s), which ``_check_branch``
-        certifies to be that series log.
+        certifies to be that series log.  It is carried as 1 + d from d = L - 1,
+        each factor 1 + t folded in as d + t + d t, and L's radius b as b |1 + d| / |L|.
         """
         s = complex(s)
         q = chi.modulus
@@ -425,9 +440,10 @@ class LSeries:
         out = cut.logs[chi.index]
         if out is not None:
             return out
-        factor = 1 + 0j
-        for c, z in zip(chi.group.values[chi.index].take(cut.cols).tolist(), cut.powers):
-            factor *= 1 - c * z
         values, bound = cut.l_values
-        out = cut.logs[chi.index] = ValueWithBound(*_ball_log(values[chi.index] * factor, bound * abs(factor)))
+        d = lam = values[chi.index]
+        for c, z in zip(chi.group.values[chi.index].take(cut.cols).tolist(), cut.powers):
+            t = -c * z
+            d += t + d * t
+        out = cut.logs[chi.index] = ValueWithBound(*_ball_log(d, bound * abs(1 + d) / abs(1 + lam)))
         return out

@@ -366,6 +366,27 @@ def test_huge_im_s_is_held_without_warning(capsys, argv, code):
         assert 0 < payload["bound"] < 1e-17
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo", "--s", "1e100"],
+        ["demo", "--s", "1e308"],
+        ["demo", "--s", "1e308,1e308"],
+        ["ap", "--s", "1e308", "--P", "20011"],
+    ],
+)
+def test_huge_re_s_exits_zero_without_warning(capsys, argv):
+    # the L layer's Pochhammer factors overflowed past Re s = 1.09e44: a
+    # RuntimeWarning traceback under -W error, and without it exit 2
+    # ("non-finite value"); every Euler factor is 1 in doubles here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run([*argv, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["log_value"] == [0.0, 0.0]
+    assert payload["bound"] < 1e-14
+
+
 def test_oracle_subcommand_refuses_check_oracle(capsys):
     # it used to be accepted and ignored
     assert run(["oracle", "--limit", "1000", "--check-oracle", "5000"]) == 2

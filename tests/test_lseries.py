@@ -79,13 +79,14 @@ def test_eval_params_refuse_a_target_that_is_not_positive_and_finite(eps):
 
 
 def test_bound_honesty_doubled_parameters():
+    # the columns of hurwitz_zeta (q = 1, r = x <= 1) and of L tables (r >= 2, r = q + 1)
     for s in GRID_S:
-        for x in (1.0, 0.5, 0.25):
+        for q, r in ((1, 1.0), (1, 0.5), (1, 0.25), (1, 2), (4, 3), (4, 5), (30, 31)):
             params = EvalParams()
-            s_x = np.array([s]), np.array([x])
-            n, m = (int(c[0]) for c in _choose_em(s_x[0], x, params))
-            ((base,),), ((base_bound,),) = _hurwitz_em(*s_x, n, m)
-            ((refined,),), _ = _hurwitz_em(*s_x, 2 * n, min(m + 4, 60))
+            s_r = np.array([s]), np.array([r], dtype=float)
+            n, m = (int(c[0]) for c in _choose_em(s_r[0], min(1, r) / q, params))
+            ((base,),), ((base_bound,),) = _hurwitz_em(*s_r, q, n, m)
+            ((refined,),), _ = _hurwitz_em(*s_r, q, 2 * n, min(m + 4, 60))
             assert abs(base - refined) <= base_bound + 1e-13
 
 
@@ -99,38 +100,40 @@ _X = st.floats(min_value=1e-3, max_value=1.0)
 
 _EXPONENTS = st.lists(_EXPONENT, min_size=1, max_size=8, unique=True)
 _XS = st.lists(_X, min_size=1, max_size=5)
+_Q = st.integers(1, 30)
 
 
-@given(exps=_EXPONENTS, xs=_XS, n_terms=st.integers(16, 300), order=st.integers(4, 12))
+@given(exps=_EXPONENTS, rs=_XS, q=_Q, n_terms=st.integers(16, 300), order=st.integers(4, 12))
 @settings(max_examples=60, deadline=None)
-def test_stacked_kernel_rows_equal_one_exponent_calls(exps, xs, n_terms, order):
-    values, bounds = _hurwitz_em(np.array(exps), np.array(xs), n_terms, order)
+def test_stacked_kernel_rows_equal_one_exponent_calls(exps, rs, q, n_terms, order):
+    values, bounds = _hurwitz_em(np.array(exps), np.array(rs), q, n_terms, order)
     for i, si in enumerate(exps):
-        for j, xj in enumerate(xs):
-            ((v,),), ((b,),) = _hurwitz_em(np.array([si]), np.array([xj]), n_terms, order)
+        for j, rj in enumerate(rs):
+            ((v,),), ((b,),) = _hurwitz_em(np.array([si]), np.array([rj]), q, n_terms, order)
             assert values[i, j] == v and bounds[i, j] == b
 
 
 @pytest.mark.parametrize("block", [1, 40, 200])
 def test_kernel_blocks_change_no_bit(monkeypatch, block):
-    # at 1, 40 and 200 cells per block the kernel splits the x values (and at
+    # at 1, 40 and 200 cells per block the kernel splits the columns r (and at
     # 200 takes two exponents per block) where the default block holds all
     from apeuler import lseries
 
-    exps, xs = np.array([1.3 + 2j, 2.0 + 0j, 5 - 7j]), np.array([0.1, 0.35, 0.6, 0.85, 1.0])
-    whole = lseries._hurwitz_em(exps, xs, 20, 5)
+    exps, rs = np.array([1.3 + 2j, 2.0 + 0j, 5 - 7j]), np.array([7, 11, 13, 29, 31])
+    whole = lseries._hurwitz_em(exps, rs, 30, 20, 5)
     monkeypatch.setattr(lseries, "_BLOCK_ELEMS", block)
-    for a, b in zip(whole, lseries._hurwitz_em(exps, xs, 20, 5)):
+    for a, b in zip(whole, lseries._hurwitz_em(exps, rs, 30, 20, 5)):
         assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
 
 
-@given(exps=_EXPONENTS, xs=_XS, order=st.integers(4, 12))
+@given(exps=_EXPONENTS, rs=_XS, q=_Q, order=st.integers(4, 12))
 @settings(max_examples=60, deadline=None)
-def test_remainder_majorant_matches_the_per_exponent_formula(exps, xs, order):
-    # log K(M) = log|s+2M+1| - log(sigma+2M+1) + log|B_2M+2| - log (2M+2)! + sum_j<2M+1 log|s+j|
+def test_remainder_majorant_matches_the_per_exponent_formula(exps, rs, q, order):
+    # K(M) q^(2M+1) W^(-sigma-2M-1) at W = 16 q + r, with log K(M) =
+    # log|s+2M+1| - log(sigma+2M+1) + log|B_2M+2| - log (2M+2)! + sum_j<2M+1 log|s+j|
     from apeuler.lseries import _log_abs_fraction
 
-    _, bounds = _hurwitz_em(np.array(exps), np.array(xs), 16, order)
+    _, bounds = _hurwitz_em(np.array(exps), np.array(rs), q, 16, order)
     top = 2 * order + 1
     for si, row in zip(exps, bounds):
         log_k = (
@@ -138,20 +141,21 @@ def test_remainder_majorant_matches_the_per_exponent_formula(exps, xs, order):
             + _log_abs_fraction(BERNOULLI[2 * order + 2]) - math.lgamma(2 * order + 3)
             + sum(math.log(abs(si + j)) for j in range(top))
         )
-        for xj, b in zip(xs, row):
-            ref = math.exp(min(log_k - (si.real + top) * math.log(xj + 16), 700.0))
+        for rj, b in zip(rs, row):
+            ref = math.exp(min(log_k + top * math.log(q) - (si.real + top) * math.log(16 * q + rj), 700.0))
             assert b == pytest.approx(ref, rel=1e-12)
 
 
-@given(exps=st.lists(_EXPONENT, min_size=2, max_size=6, unique=True), xs=st.lists(_X, min_size=1, max_size=5))
-@example(exps=[2 + 0j, 1.1 + 40j, 3 + 20j], xs=[0.25, 1.0])  # (16, 4), (56, 6) and (37, 4)
+@given(exps=st.lists(_EXPONENT, min_size=2, max_size=6, unique=True), rs=st.lists(_X, min_size=1, max_size=5),
+       q=st.sampled_from((1, 5)))
+@example(exps=[2 + 0j, 1.1 + 40j, 3 + 20j], rs=[0.25, 1.0], q=1)  # (16, 4), (56, 6) and (37, 4)
 @settings(max_examples=40, deadline=None)
-def test_batched_grid_equals_one_exponent_grids(exps, xs):
+def test_batched_grid_equals_one_exponent_grids(exps, rs, q):
     # exponents drawn this far apart fall in different Euler-Maclaurin (N, M) groups
-    xs = np.array(xs)
-    values, bounds = _hurwitz_grid(exps, xs, EvalParams())
+    rs = np.array(rs)
+    values, bounds = _hurwitz_grid(exps, rs, q, EvalParams())
     for s, v, b in zip(exps, values, bounds):
-        (one_v,), (one_b,) = _hurwitz_grid([s], xs, EvalParams())
+        (one_v,), (one_b,) = _hurwitz_grid([s], rs, q, EvalParams())
         assert v.tolist() == one_v.tolist() and b.tolist() == one_b.tolist()
 
 
@@ -241,16 +245,26 @@ def test_batched_grid_raises_the_first_refusal_in_order(monkeypatch):
     # the s = 60 rows makes both fail, and the refusal raised is the first one's
     kernel = lseries._hurwitz_em
 
-    def planting(s, x, n_terms, order):
-        values, bounds = kernel(s, x, n_terms, order)
+    def planting(s, rs, q, n_terms, order):
+        values, bounds = kernel(s, rs, q, n_terms, order)
         return np.where(s[:, None] == 60, np.nan, values), bounds
 
     monkeypatch.setattr(lseries, "_hurwitz_em", planting)
     params = EvalParams(target_eps=1e-300)
     with pytest.raises(OutOfDomainError, match="non-finite"):
-        _hurwitz_grid([60 + 0j, 2 + 1e6j], np.array([1.0]), params)
+        _hurwitz_grid([60 + 0j, 2 + 1e6j], np.array([1.0]), 1, params)
     with pytest.raises(PrecisionUnreachableError, match="cannot reach"):
-        _hurwitz_grid([2 + 1e6j, 60 + 0j], np.array([1.0]), params)
+        _hurwitz_grid([2 + 1e6j, 60 + 0j], np.array([1.0]), 1, params)
+
+
+@pytest.mark.parametrize("sigma", [1e44, 1e50, 1e100, 1e300, 1e308])
+def test_zeta_at_huge_re_s_is_one(sigma):
+    # the Pochhammer factor (s)_7 overflowed past sigma = 1.09e44 (with a
+    # RuntimeWarning, an error under this suite's filterwarnings)
+    from apeuler import LSeries, sieve
+
+    z = LSeries(sieve(1000)).zeta(sigma)
+    assert z.value == 1 and z.bound == 0
 
 
 def test_dirichlet_l_mod_one_is_zeta():
@@ -512,10 +526,10 @@ def test_hurwitz_kernel_runs_once_per_exponent(primes_1e6, monkeypatch):
     calls = []  # per kernel call: its (N, M) and the rows of each exponent
     kernel = lseries._hurwitz_em
 
-    def counting(s, xs, n_terms, order):
+    def counting(s, rs, q, n_terms, order):
         assert len(set(s.tolist())) == len(s)  # the kernel is handed distinct exponents
-        calls.append(((n_terms, order), dict.fromkeys(s.tolist(), len(xs))))
-        return kernel(s, xs, n_terms, order)
+        calls.append(((n_terms, order), dict.fromkeys(s.tolist(), len(rs))))
+        return kernel(s, rs, q, n_terms, order)
 
     def check(q, exponents):
         # one call per (N, M) among the exponents; each residue vector computed once
