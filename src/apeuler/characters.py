@@ -6,7 +6,7 @@ one int table E of shape phi(q) x q: E[i, n] = k means chi_i(n) =
 exp(2*pi*i*k/lambda), and E[i, n] = -1 marks residues not coprime to q.
 Orthogonality, conjugation and powers are exact integer arithmetic mod lambda
 (chi_i^d is a row lookup in a cached power map); conversion to floating
-complex happens once, in the cached value table.
+complex happens once, in the cached value table, exact at the quarter turns.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ class CharacterGroup:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """chi_i(n) as complex128, equal bit for bit to ``characters[i](n)``."""
+        """chi_i(n) as complex128, equal bit for bit to ``characters[i](n)``; 1, i, -1 and -i exactly."""
         lam = self.exponent
-        roots = [1 + 0j] + [cmath.exp(2j * cmath.pi * (k / lam)) for k in range(1, lam)]
+        exact = (1, 1j, -1, complex(0, -1))  # at 4k = 0 mod lambda; the literal -1j has real part -0.0
+        roots = [exact[4 * k // lam] if 4 * k % lam == 0 else cmath.exp(2j * cmath.pi * (k / lam)) for k in range(lam)]
         return np.array(roots + [0j])[self.table]  # index -1 picks the trailing 0
 
     @cached_property

@@ -18,10 +18,12 @@ multi-indices at once, from index arrays built once per plan shape; see
 ``_necklace_plan``.
 
 An exponent whose tail past a prime cut X_j <= max(10^4, 16 P) is below
-rounding (large Re s_j) is summed directly over the primes up to X_j, with
-that tail and the rounding in its bound; every other exponent goes through
-y_p.  One array call of ``_direct_cut`` routes every exponent of a plan, and
-one batched Euler-Maclaurin pass fills every L table its y_p calls read.
+rounding (large Re s_j) is summed directly over the primes up to X_j; all
+such terms of a plan, times their c_j, form one sum rounded once, with the
+tails and the rounding in its bound.  Every other exponent goes through y_p.
+One array call of ``_direct_cut`` routes every exponent of a plan; every
+refusal of the routed ones comes before the one batched Euler-Maclaurin pass
+that fills every L table their y_p calls read.
 
 Sign convention: ``y_p`` approximates sum_{p >= P, p = a mod q} log(1 - p^-s)
 itself (it tends to 0 as P grows), so every product is exp of a plain sum.
@@ -52,8 +54,6 @@ from .witt import (
 _U = 2.0**-53
 # Largest prime cut X_j summed directly at any P; past it, only up to 16 P.
 _DIRECT_CAP = 10**4
-# Largest (exponent, prime) block of the direct sums' running sums formed at once.
-_DIRECT_BLOCK = 1 << 11
 # Necklace plan shape -> (multi-indices, M(m)); at most _NECKLACE_ROWS_MAX rows in all.
 _NECKLACE_SHAPES: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _NECKLACE_ROWS_MAX = 1 << 16
@@ -220,35 +220,35 @@ def _direct_cut(sigma: np.ndarray, p_min: int, limit: int) -> np.ndarray:
 
 
 def _direct_sums(
-    exps: np.ndarray, xs: np.ndarray, q: int, a: int, p_min: int, primes: PrimeTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{P <= p <= X_j, p = a mod q} log(1 - p^-s_j) for each s_j in exps, X_j in xs, with bounds.
+    exps: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, q: int, a: int, p_min: int, primes: PrimeTable
+) -> tuple[complex, float]:
+    """sum_j c_j sum_{P <= p <= X_j, p = a mod q} log(1 - p^-s_j), the direct part of a plan, with its bound.
 
-    With z = r e^(i theta), log(1 - z) is formed as (1/2) log1p(r^2 - 2 Re z) +
-    i atan2(-Im z, 1 - Re z): complex log1p loses small arguments.  When every
-    s_j is real, theta is 0, so Re z is exactly r and the imaginary part of
-    every cell exactly 0: only the real part is formed.  The cells are formed
-    in one pass over the (s_j, p) pairs that are summed, with no padding.
-    Each row is summed from its smallest cell; the running sums are taken in
-    blocks of rows of adjacent widths, widest first, each row zero-padded at
-    its start to its block's width.
+    Each cell log(1 - z), z = r e^(i theta), is formed as (1/2) log1p(r^2 -
+    2 Re z) + i atan2(-Im z, 1 - Re z), since complex log1p loses small
+    arguments, in one pass over the summed (s_j, p) pairs; when every s_j is
+    real, z is exactly r and only the real part is formed.  Each cell is
+    multiplied by its c_j, and the real and imaginary parts of all the
+    products go through one ``math.fsum`` each: the sum T is rounded once.
 
-    The bound is the tail past X_j plus rounding.  Allowing 4 ulp per libm
-    call, a cell is off by at most u r (20 |s_j| log p + 40); a row, summed
-    from its smallest cell, adds u sum_k (|Re S_k| + |Im S_k|) over its
-    partial sums S_k; the caller's product with c_j and its fsum add 8 u sum r.
-    Each cell, and each row for its tail, adds 2^-1000 for underflow.  The
-    exponents come held (``_held``), so s_j log p and |s_j| are finite.
+    The bound is the tails past X_j plus rounding, with r = p^-sigma_j:
+      * allowing 4 ulp per libm call, a cell is off by at most
+        u r (20 |s_j| log p + 40), so c_j times it by |c_j| times that;
+      * the product c_j * cell adds at most 3 u |c_j| |cell| <= 6 u |c_j| r,
+        since |cell| <= r / (1 - r) <= 2 r for r < 1/2;
+      * the fsum adds u (|Re T| + |Im T|).  Both steps round computed values,
+        but on this route r < 2^-5 (a cut X_j <= max(10^4, 16 P) needs
+        sigma_j > 5.4), so |cell| <= 1.04 r leaves room in the 2 r for the
+        cell's error and the 1/(1 - u);
+      * each row's tail 2 sigma/(sigma-1) (X_j+1)^(1-sigma), and 2^-1000 for
+        underflow per cell and per tail, count |c_j| times.
+    The exponents come held (``_held``), so s_j log p and |s_j| are finite.
     """
     ps = primes.in_range(p_min, int(xs.max()))
     ps = ps[ps % q == a % q]
-    logp = np.log(ps.astype(float))
     counts = np.searchsorted(ps, xs, side="right")
-    order = np.argsort(-counts, kind="stable")  # widest row first
-    widths = counts[order]
-    ends = np.cumsum(widths)
-    row = np.repeat(order, widths)  # per cell; a row's cells run from its largest prime down
-    lp = logp[np.repeat(ends - 1, widths) - np.arange(ends[-1])]
+    row = np.repeat(np.arange(len(xs)), counts)  # per cell; a row's cells run from its smallest prime up
+    lp = np.log(ps.astype(float))[np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)]
     s = exps[row]
     r = np.exp(-s.real * lp)
     if not exps.imag.any():
@@ -257,23 +257,12 @@ def _direct_sums(
         theta = -s.imag * lp
         re, im = r * np.cos(theta), r * np.sin(theta)
         cells = 0.5 * np.log1p(r * r - 2 * re) + 1j * np.arctan2(-im, 1 - re)
-    values = np.zeros(len(xs), dtype=complex)
-    spread = np.zeros(len(xs))  # sum_k |Re S_k| + |Im S_k| per row
-    i, live = 0, int(np.count_nonzero(widths))
-    while i < live:
-        width = int(widths[i])
-        j = min(live, i + max(1, _DIRECT_BLOCK // width))
-        block = np.zeros((j - i, width), dtype=cells.dtype)
-        # each row right-aligned: its padding first, then its cells from the smallest
-        block[np.arange(width) >= width - widths[i:j, None]] = cells[ends[i] - width : ends[j - 1]]
-        partial = block.cumsum(axis=1)
-        values[order[i:j]] = partial[:, -1]
-        spread[order[i:j]] = np.abs(partial.view(float)).sum(axis=1)
-        i = j
-    rounding = np.bincount(row, 20 * (r * np.abs(s)) * lp + 48 * r, len(xs)) + spread
+    terms = coeffs[row] * cells
+    total = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
     sigma = exps.real
-    tails = 2 * (sigma / (sigma - 1)) * np.exp((1 - sigma) * np.log(xs + 1.0))
-    return values, tails + _U * rounding + (counts + 1) * 2.0**-1000
+    tails = 2 * (sigma / (sigma - 1)) * np.exp((1 - sigma) * np.log(xs + 1.0)) + (counts + 1) * 2.0**-1000
+    row_bounds = tails + _U * np.bincount(row, r * (20 * np.abs(s) * lp + 46), len(xs))
+    return total, float((np.abs(coeffs) * row_bounds).sum()) + _U * (abs(total.real) + abs(total.imag))
 
 
 def _execute(
@@ -283,18 +272,18 @@ def _execute(
     """sum_j c_j y_p(s_j) over a term plan {s_j: c_j}, plus the plan's fixed bound.
 
     The exponents are held once (``_held``), then each is evaluated once: one
-    _direct_cut call routes them all, to _direct_sums where a prime cut X_j
-    fits, to y_p (in plan order) where it does not.
+    _direct_cut call routes them all, to one _direct_sums call for every s_j
+    whose prime cut X_j fits, to y_p (in plan order) for the rest.
 
-    Before the first y_p, every ell * s_j those calls evaluate (s_j a routed
-    exponent, ell a depth with nonzero unsieve weights) goes to
+    Refuse, fill, sum.  First every routed s_j goes through
+    ``LSeries._check_branch``, so the first it refuses (Re s_j <= 1, P past
+    the prime table, or Re s_j too close to 1 for P), in plan order, is
+    raised before any Hurwitz work.  Then every ell * s_j the y_p calls
+    evaluate (ell a depth with nonzero unsieve weights) goes to
     ``LSeries.fill_l_tables`` in one call, after the ``front`` exponents (Re s
     > 1) whose L tables mod q the caller reads afterwards, so every L(s, chi)
-    they read comes from one batched Euler-Maclaurin pass.  The batch stops
-    short of the first s_j that ``LSeries._check_branch`` refuses (Re s_j <= 1,
-    P past the prime table, or Re s_j too close to 1 for P): that refusal is
-    still raised by y_p, in plan order, with its exit code and message, and
-    nothing past it is evaluated.
+    they read comes from one batched Euler-Maclaurin pass.  Then the y_p
+    values and the direct part are summed.
 
     y_p's bound leaves out its own rounding, about u |c_j| for each routed
     exponent.  A plan whose floor u sum |c_j| over those exponents passes the
@@ -309,27 +298,19 @@ def _execute(
     direct = cuts > 0
     floor = _U * float(np.abs(coeffs[~direct]).sum())
     routed = exps[~direct].tolist()
-    batch = list(front)
-    if routed:
-        ells = [ell for ell, rows, _ in character_group(q).unsieve_weights(a, depth) if rows]
-        for s in routed:
-            try:
-                ls._check_branch(s.real, p_min)
-            except (InvalidArgumentError, OutOfDomainError):
-                break  # y_p refuses s below, in plan order
-            batch += [ell * s for ell in ells]
-    ls.fill_l_tables(batch, q)
-    total = 0j
-    bound = fixed
+    for s in routed:
+        ls._check_branch(s.real, p_min)
+    ells = [ell for ell, rows, _ in character_group(q).unsieve_weights(a, depth) if rows] if routed else []
+    ls.fill_l_tables([*front, *(ell * s for s in routed for ell in ells)], q)
+    total, bound = 0j, fixed
     for s, c in zip(routed, coeffs[~direct].tolist()):
         y = y_p(s, q, a, p_min, depth, ls)
         total += c * y.value
         bound += abs(c) * y.bound
     if direct.any():
-        values, bounds = _direct_sums(exps[direct], cuts[direct], q, a, p_min, ls.primes)
-        terms = coeffs[direct] * values
-        total += complex(math.fsum(terms.real), math.fsum(terms.imag))
-        bound += float(np.abs(coeffs[direct]) @ bounds)
+        value, direct_bound = _direct_sums(exps[direct], coeffs[direct], cuts[direct], q, a, p_min, ls.primes)
+        total += value
+        bound += direct_bound
     if floor > bound + _U:
         raise PrecisionUnreachableError(
             f"rounding floor {floor:.3g} of the plan's coefficients exceeds its bound {bound:.3g}"

@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -268,6 +269,8 @@ def hurwitz_zeta(s: complex, x: float, params: EvalParams = EvalParams()) -> Val
         raise OutOfDomainError("hurwitz_zeta requires Re s > 1")
     if not (0 < x <= 1):
         raise OutOfDomainError("hurwitz_zeta requires 0 < x <= 1")
+    if s.real * -math.log(x) >= math.log(sys.float_info.max):  # refused before the kernel's x^-s overflows
+        raise OutOfDomainError("hurwitz_zeta value past the double range: x^-Re s overflows")
     values, bounds = _hurwitz_grid([s], np.array([x], dtype=float), 1, params)
     return ValueWithBound(complex(values[0, 0]), float(bounds[0, 0]))
 

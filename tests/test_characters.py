@@ -117,6 +117,13 @@ def test_value_at_one():
 USED_MODULI = sorted(set(range(1, 37)) | {101, 210})
 
 
+# the roots of unity a character table holds exactly
+QUARTER_TURNS = {
+    Fraction(0): complex(1, 0), Fraction(1, 4): complex(0, 1),
+    Fraction(1, 2): complex(-1, 0), Fraction(3, 4): complex(0, -1),
+}
+
+
 @pytest.mark.parametrize("q", USED_MODULI)
 def test_value_table_matches_exact_angles(q):
     grp = character_group(q)
@@ -125,11 +132,13 @@ def test_value_table_matches_exact_angles(q):
             a = _angle(chi, n)
             if a is None:
                 expected = 0j
-            elif a == 0:
-                expected = 1 + 0j
+            elif a in QUARTER_TURNS:
+                expected = QUARTER_TURNS[a]
             else:
                 expected = cmath.exp(2j * cmath.pi * float(a))
-            assert grp.values[chi.index, n] == expected == chi(n)
+            got = grp.values[chi.index, n]
+            assert got == expected == chi(n)
+            assert np.array([got]).view(np.int64).tolist() == np.array([expected]).view(np.int64).tolist()  # signed zeros too
 
 
 @pytest.mark.parametrize("q", USED_MODULI)

@@ -286,6 +286,18 @@ def test_the_branch_bound_refuses_s_near_one_at_p_two_and_accepts_it_at_p_three(
     assert json.loads(capsys.readouterr().out)["spec"]["P"] == 3
 
 
+def test_a_plan_refuses_its_first_routed_exponent_before_any_hurwitz_work(capsys, monkeypatch):
+    # plan order puts 2s = 2.08 before s - 0.03 = 1.01, which the branch check refuses
+    from apeuler import lseries
+
+    kernel_calls = []
+    real = lseries._hurwitz_em
+    monkeypatch.setattr(lseries, "_hurwitz_em", lambda *args: kernel_calls.append(args) or real(*args))
+    assert run(["multi", "--terms=0.5,0,1,-0.03;0.5,0,2,0", "--s", "1.04", "--P", "5", "--L", "4"]) == 2
+    assert capsys.readouterr().err == "error: Re s=1.01 too close to 1 for P=5: branch bound B=3.529 is not below 3\n"
+    assert kernel_calls == []
+
+
 @pytest.mark.parametrize("s", ["1e300", "1e308", "1e308,1e308", "1.7976931348623157e308"])
 def test_huge_re_s_is_summed_directly_without_overflow(capsys, s):
     # the product is 1 to within a tiny bound; the direct cut and the direct

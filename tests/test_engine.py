@@ -112,6 +112,20 @@ def test_rational_product_double_square(ls6, primes_1e6):
     assert abs(res.log_value - orc.log_value) <= res.total_bound + orc.tail_bound
 
 
+@pytest.mark.parametrize(
+    "product,spec",
+    [(ap_product, APProductSpec(s=2 + 0j, q=q, a=a, p_min=p_min, depth=10))
+     for q, a, p_min in [(4, 1, 5), (8, 3, 2), (3, 2, 2), (12, 5, 7), (5, 2, 2), (24, 7, 2), (30, 7, 2)]]
+    + [(rational_product, RationalProductSpec(
+        f=Polynomial.of([0, 0, 0, 1]), g=Polynomial.of([1, 1]), q=4, a=3, p_min=5, depth=10))],
+)
+def test_real_s_gives_an_exactly_real_result(ls6, product, spec):
+    # every character mod these q takes only the values +-1 and +-i, which
+    # the tables hold exactly, so no rounding is left in the imaginary part
+    res = product(spec, ls6)
+    assert res.log_value.imag == 0 and res.value.imag == 0
+
+
 def test_rational_product_cubic_over_linear(ls6, primes_1e6):
     spec = RationalProductSpec(
         f=Polynomial.of([0, 0, 0, 1]),
@@ -374,9 +388,11 @@ def test_demo_front_factors_equal_zeta_on_a_fresh_series(primes_1e6, s):
 def _direct_sums_single_layout(exps, xs, q, a, p_min, primes):
     """The direct sums as formed before cells were laid out per row, kept as the reference.
 
-    Rows are sorted by X_j and cut into blocks of at most _DIRECT_BLOCK cells,
-    each block as wide as its widest row; every cell, padding included, is
-    formed as a complex log.
+    Per row: its value, its bound as one row was bounded before the rows were
+    weighted and summed at once (its tail, 48 u r per cell, the spread of its
+    partial sums and (count + 1) 2^-1000), and its cells.  Rows are sorted by
+    X_j and cut into blocks of at most 2^11 cells, each block as wide as its
+    widest row; every cell, padding included, is formed as a complex log.
     """
     ps = primes.in_range(p_min, int(xs.max()))
     ps = ps[ps % q == a % q]
@@ -384,11 +400,12 @@ def _direct_sums_single_layout(exps, xs, q, a, p_min, primes):
     counts = np.searchsorted(ps, xs, side="right")
     values = np.zeros(len(xs), dtype=complex)
     rounding = np.zeros(len(xs))
+    cells_by_row = [np.zeros(0, dtype=complex)] * len(xs)
     order = np.argsort(-xs, kind="stable")
     i = 0
     while i < len(order) and counts[order[i]]:
         width = counts[order[i]]
-        rows = order[i : i + max(1, engine._DIRECT_BLOCK // width)]
+        rows = order[i : i + max(1, (1 << 11) // width)]
         i += len(rows)
         s = exps[rows, None]
         r = np.where(np.arange(width) < counts[rows, None], np.exp(-s.real * logp[:width]), 0.0)
@@ -402,9 +419,11 @@ def _direct_sums_single_layout(exps, xs, q, a, p_min, primes):
             + 48 * r.sum(axis=1)
             + (np.abs(partial.real) + np.abs(partial.imag)).sum(axis=1)
         )
+        for j, row_cells in zip(rows.tolist(), cells):
+            cells_by_row[j] = row_cells[: counts[j]]
     sigma = exps.real
     tails = 2 * sigma / (sigma - 1) * np.exp((1 - sigma) * np.log(xs + 1.0))
-    return values, tails + engine._U * rounding + counts * 2.0**-1000
+    return values, tails + engine._U * rounding + (counts + 1) * 2.0**-1000, cells_by_row
 
 
 _DIRECT_ROWS = st.lists(
@@ -412,6 +431,10 @@ _DIRECT_ROWS = st.lists(
         st.floats(min_value=1.5, max_value=40.0),
         st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-60.0, max_value=60.0)),
         st.one_of(st.integers(0, 40), st.integers(0, 10**4)),  # X_j - P: narrow rows and up to 1,229 primes
+        st.one_of(  # c_j, real or complex
+            st.floats(min_value=-8.0, max_value=8.0).map(complex),
+            st.builds(complex, st.floats(min_value=-8.0, max_value=8.0), st.floats(min_value=-8.0, max_value=8.0)),
+        ),
     ),
     min_size=1,
     max_size=12,
@@ -419,25 +442,35 @@ _DIRECT_ROWS = st.lists(
 
 
 @given(qa=st.sampled_from([(1, 1), (4, 3), (5, 2), (8, 5)]), p_min=st.sampled_from([2, 3, 7, 11]), rows=_DIRECT_ROWS)
-@example(qa=(4, 3), p_min=2, rows=[(2.0, 0.0, 0)])  # no prime = 3 mod 4 in [2, 2]: a row of width 0
-@example(qa=(1, 1), p_min=2, rows=[(3.0, 0.0, 9998), (2.5, -0.0, 3), (4.0, 1.5, 40), (6.0, 0.0, 0)])
-@example(qa=(5, 2), p_min=3, rows=[(3.0, -0.0, 500), (2.0, 0.0, 20)])  # real rows only, one Im s = -0.0
+@example(qa=(4, 3), p_min=2, rows=[(2.0, 0.0, 0, 1 + 0j)])  # no prime = 3 mod 4 in [2, 2]: a row of width 0
+@example(
+    qa=(1, 1), p_min=2,
+    rows=[(3.0, 0.0, 9998, -2 + 0j), (2.5, -0.0, 3, 0.5j), (4.0, 1.5, 40, 1 - 3j), (6.0, 0.0, 0, 7 + 0j)],
+)
+@example(qa=(5, 2), p_min=3, rows=[(3.0, -0.0, 500, 1.5 - 0.5j), (2.0, 0.0, 20, -1 + 0j)])  # real rows only, one Im s = -0.0
 @settings(max_examples=60, deadline=None)
 def test_direct_sums_match_the_single_layout_formula(primes_1e6, qa, p_min, rows):
+    # one weighted sum, rounded once: the fsum of every c_j * cell of the reference's
+    # cells, within the weighted reference bounds
     q, a = qa
-    exps = np.array([complex(sigma, t) for sigma, t, _ in rows])
-    xs = np.array([p_min + dx for _, _, dx in rows], dtype=np.int64)
-    values, bounds = engine._direct_sums(exps, xs, q, a, p_min, primes_1e6)
-    ref_values, ref_bounds = _direct_sums_single_layout(exps, xs, q, a, p_min, primes_1e6)
-    assert values.view(np.int64).tolist() == ref_values.view(np.int64).tolist()  # signed zeros too
-    assert bounds == pytest.approx(ref_bounds, rel=1e-12, abs=0)
+    exps = np.array([complex(sigma, t) for sigma, t, _, _ in rows])
+    xs = np.array([p_min + dx for _, _, dx, _ in rows], dtype=np.int64)
+    coeffs = np.array([c for *_, c in rows])
+    value, bound = engine._direct_sums(exps, coeffs, xs, q, a, p_min, primes_1e6)
+    _, ref_bounds, ref_cells = _direct_sums_single_layout(exps, xs, q, a, p_min, primes_1e6)
+    # numpy's array product, as the engine forms it: it may fuse a multiply-add where Python's does not
+    terms = np.repeat(coeffs, [len(cells) for cells in ref_cells]) * np.concatenate(ref_cells)
+    assert value == complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    assert bound <= float((np.abs(coeffs) * ref_bounds).sum()) * (1 + 1e-12)
 
 
 def test_a_direct_row_with_no_prime_keeps_a_positive_bound(primes_1e6):
-    # no prime in [100, 100] and a tail that underflows: the row's own 2^-1000 remains
-    values, bounds = engine._direct_sums(np.array([1e307 + 0j]), np.array([100]), 1, 1, 100, primes_1e6)
-    assert values.tolist() == [0j]
-    assert bounds.tolist() == [2.0**-1000]
+    # no prime in [100, 100] and a tail that underflows: the row's own |c| 2^-1000 remains
+    value, bound = engine._direct_sums(
+        np.array([1e307 + 0j]), np.array([3 - 4j]), np.array([100]), 1, 1, 100, primes_1e6
+    )
+    assert value == 0
+    assert bound == 5 * 2.0**-1000
 
 
 def test_small_prime_table_falls_back_to_y_p(ls6, monkeypatch):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -70,6 +71,17 @@ def test_hurwitz_domain_errors():
         hurwitz_zeta(2.0, 1.5)
     with pytest.raises(OutOfDomainError):
         hurwitz_zeta(2.0, 0.0)
+
+
+@pytest.mark.parametrize("s", [1100, 1024])
+def test_hurwitz_zeta_past_the_double_range_is_refused_before_the_kernel(s):
+    # zeta(s, 1/2) > 2^s is not a double: refused without an overflow warning.  At
+    # s = 1024, s log 2 rounds to log(DBL_MAX) and the kernel's exp stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OutOfDomainError, match="past the double range"):
+            hurwitz_zeta(s, 0.5)
+        assert hurwitz_zeta(1000, 0.5).value == 1.0715086071861939e301  # 2^1000 + 1.5^-1000 + ...
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])

@@ -158,6 +158,35 @@ def test_direct_sum_within_bound_of_mpmath(ls6, primes_1e6, q, a, p_min, s):
     assert error <= res.total_bound + tail
 
 
+# (q, a, P, plan): complex exponents and coefficients, every exponent summed directly
+DIRECT_PLANS = [
+    (1, 1, 2, {12 + 5j: 0.7 - 1.2j, 20 - 3j: 2 + 0.5j, 9.5 + 0j: -1.5j, 6 + 40j: 0.25}),
+    (5, 2, 7, {8 + 2j: 1.5 + 0.5j, 11 - 7j: -0.8j, 16 + 0j: 0.3, 7 + 0.5j: -2 + 1j}),
+    (30, 7, 20011, {20 + 1j: 0.5 - 0.5j, 24 - 2j: -1.25, 31 + 4j: 2j}),
+]
+
+
+@pytest.mark.parametrize("q,a,p_min,plan", DIRECT_PLANS)
+def test_direct_plan_within_bound_of_mpmath(ls6, primes_1e6, q, a, p_min, plan):
+    # sum_j c_j sum_{p >= P, p = a mod q} log1p(-p^-s_j) at 40 digits, each row up to the
+    # first N whose tail 2 sigma/(sigma-1) N^(1-sigma) times |c_j| is at most 1% of the bound
+    exps = np.array(list(plan))
+    assert (engine._direct_cut(exps.real, p_min, ls6.primes.limit) > 0).all()
+    res = engine._execute(plan, 0.0, q, a, p_min, 10, ls6)
+    tail = res.total_bound / 100
+    with mpmath.workdps(40):
+        ref = 0
+        for s, c in plan.items():
+            sigma = s.real
+            n_max = math.ceil((2 * sigma / (sigma - 1) * abs(c) * len(plan) / tail) ** (1 / (sigma - 1)))
+            ref += mpmath.mpc(c) * mpmath.fsum(
+                mpmath.log1p(-mpmath.mpf(int(p)) ** -mpmath.mpc(s))
+                for p in primes_1e6.in_range(p_min, n_max) if p % q == a % q
+            )
+        error = float(abs(mpmath.mpc(res.log_value) - ref))
+    assert error <= res.total_bound + tail
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the L layer leaves the rounding of its sums and table products out of its bound",
