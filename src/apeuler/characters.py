@@ -5,14 +5,13 @@ lambda = lambda(q) being the exponent of (Z/qZ)*.  A ``CharacterGroup`` holds
 one int table E of shape phi(q) x q: E[i, n] = k means chi_i(n) =
 exp(2*pi*i*k/lambda), and E[i, n] = -1 marks residues not coprime to q.
 Orthogonality, conjugation and powers are exact integer arithmetic mod lambda
-(chi_i^d is a row lookup in a cached power map); conversion to floating
-complex happens once, in the cached value table, exact at the quarter turns.
+(chi_i^d from the generator exponents that row index i encodes); conversion to
+floating complex happens once, in the cached value table, exact at the quarter turns.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -22,23 +21,22 @@ import numpy as np
 from .arith import divisors, euler_phi, factorize, mobius
 from .errors import InvalidArgumentError
 
-# Largest phi(q) * q accepted.  An ap evaluation mod q peaks near 40 bytes per
-# table entry (tracemalloc, q = 1009 and 2003 at s = 2), so the cap allows
-# about 1.3 GB and admits every q up to about 5,800.  A log-L cut costs about
-# 110 bytes per prime below P at its peak, whatever q is (q = 1009, s = 1.15,
-# P = 630,000: about 51,000 primes).
+# Largest phi(q) * q accepted.  An ap evaluation mod q peaks near 30 bytes per
+# table entry, 24 of them the table and its value table (tracemalloc, q = 1009
+# and 2003 at s = 2), so the cap allows about 1 GB and admits every q up to
+# about 5,800.  A log-L cut costs about 110 bytes per prime below P at its
+# peak, whatever q is (q = 1009, s = 1.15, P = 630,000: about 51,000 primes).
 TABLE_MAX = 1 << 25
 
 
 @dataclass(frozen=True, eq=False)
 class CharacterGroup:
-    """The full group of the phi(q) Dirichlet characters mod q, one table row each."""
+    """The full group of the phi(q) Dirichlet characters mod q: one table row each, their one stored form."""
 
     modulus: int
     exponent: int  # lambda(q): every table entry lies in [0, exponent) or is -1
     table: np.ndarray  # int64, phi(q) x q
-    slots: np.ndarray  # int64, phi(q) x k: row i's exponent on each generator
-    slot_orders: tuple[int, ...]  # the orders of those generators
+    slot_orders: tuple[int, ...]  # the orders of the generators of (Z/qZ)*
     _unsieve: dict = field(default_factory=dict, repr=False)  # (a, L) -> unsieve_weights
 
     @cached_property
@@ -53,26 +51,18 @@ class CharacterGroup:
     def characters(self) -> tuple["DirichletCharacter", ...]:
         return tuple(DirichletCharacter(self, i) for i in range(len(self)))
 
-    @cached_property
-    def _power_map(self) -> np.ndarray:
-        """Row [d, i] is the row index of chi_i^d, for 0 <= d < lambda."""
-        orders = np.array(self.slot_orders, dtype=np.int64)
-        strides = np.ones(len(orders), dtype=np.int64)
-        for j in range(len(orders) - 2, -1, -1):
-            strides[j] = strides[j + 1] * orders[j + 1]
-        d = np.arange(self.exponent, dtype=np.int64)[:, None, None]
-        return (d * self.slots[None] % orders) @ strides
-
     def power_rows(self, d: int) -> np.ndarray:
-        """Row indices of chi_i^d for every row i; d >= 0."""
-        return self._power_map[d % self.exponent]
+        """Row indices of chi_i^d for every row i, d >= 0: exponents d e mod the orders, read back as a row."""
+        exps, strides = _row_exponents(self.slot_orders)
+        return (d % self.exponent * exps % np.array(self.slot_orders, dtype=np.int64)) @ strides
 
     def unsieve_weights(self, a: int, depth: int) -> list[tuple[int, list[int], list[complex]]]:
-        """The Moebius-unsieving weights of y_p for residue a, one entry per depth ell <= L.
+        """The Moebius-unsieving weights of y_p for residue a, one entry per depth ell <= L with a nonzero weight.
 
         Entry (ell, rows, weights): weights[j] = sum over d | ell and chi with
         chi^d = row rows[j] of mu(d) conj chi(a), nonzero rows only.  They are
-        added in (d, chi) order so that cancelling weights come out exactly 0.
+        added in (d, chi) order so that cancelling weights come out exactly 0,
+        and a depth left with none (every ell > 1 at q = 1) is not listed.
         Built once per (a, L) and kept for the life of the group.
         """
         key = (a % self.modulus, depth)
@@ -87,7 +77,8 @@ class CharacterGroup:
                     if mu:
                         np.add.at(weights, self.power_rows(d), mu * conj_a)
                 rows = np.flatnonzero(weights)
-                out.append((ell, rows.tolist(), weights[rows].tolist()))
+                if len(rows):
+                    out.append((ell, rows.tolist(), weights[rows].tolist()))
             self._unsieve[key] = out
         return out
 
@@ -145,15 +136,22 @@ def _component_generators(p: int, e: int) -> list[tuple[int, int]]:
     return [(_primitive_root(p, e), euler_phi(q))]
 
 
-def _component_dlog(q: int, gens: list[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
-    """Discrete logs of every unit mod q with respect to ``gens`` (direct table walk)."""
-    table: dict[int, tuple[int, ...]] = {}
-    for exps in itertools.product(*(range(o) for _, o in gens)):
-        v = 1
-        for (g, _), t in zip(gens, exps):
-            v = v * pow(g, t, q) % q
-        table[v] = exps
-    return table
+def _row_exponents(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The one statement of the row order: row i's exponents are i in mixed radix over ``orders``, the last fastest.
+
+    Returned with the strides back to i (i = exponents @ strides); row 0 is principal.
+    """
+    strides = np.array([math.prod(orders[k + 1:]) for k in range(len(orders))], dtype=np.int64)
+    rows = np.arange(math.prod(orders), dtype=np.int64)[:, None]
+    return rows // strides % np.array(orders, dtype=np.int64), strides
+
+
+def _component_dlog(q: int, gens: list[tuple[int, int]]) -> np.ndarray:
+    """Discrete logs with respect to ``gens`` of every residue mod q, one row each (0 off the units)."""
+    exps = _row_exponents(tuple(o for _, o in gens))[0]
+    out = np.zeros((q, len(gens)), dtype=np.int64)
+    out[[math.prod(pow(g, t, q) for (g, _), t in zip(gens, row)) % q for row in exps.tolist()]] = exps
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -167,28 +165,19 @@ def character_group(q: int) -> CharacterGroup:
             f"modulus {q} needs a character table of phi(q) * q = {phi * q} entries, "
             f"above the largest supported, {TABLE_MAX}"
         )
-    components = []  # (q_i, orders, dlog table)
-    for p, e in factorize(q):
-        qi = p**e
-        gens = _component_generators(p, e)
-        components.append((qi, [o for _, o in gens], _component_dlog(qi, gens)))
-    slot_orders = tuple(o for _, orders, _ in components for o in orders)
+    components = [(p**e, _component_generators(p, e)) for p, e in factorize(q)]
+    slot_orders = tuple(o for _, gens in components for _, o in gens)
     lam = math.lcm(*slot_orders)
 
     # Discrete logs of every unit n on every generator, scaled to exponents mod lambda.
     n = np.arange(q)
     units = np.gcd(n, q) == 1
-    dlogs = np.zeros((q, len(slot_orders)), dtype=np.int64)
-    for u in np.flatnonzero(units).tolist():
-        dlogs[u] = [x for qi, _, table in components for x in table[u % qi]]
+    dlogs = np.hstack([np.zeros((q, 0), dtype=np.int64), *(_component_dlog(qi, gens)[n % qi] for qi, gens in components)])
     scale = np.array([lam // o for o in slot_orders], dtype=np.int64)
-
-    # Rows in itertools.product order of the generator exponents: row 0 is principal.
-    slots = np.array(list(itertools.product(*(range(o) for o in slot_orders))), dtype=np.int64)
-    slots = slots.reshape(math.prod(slot_orders), len(slot_orders))
-    table = np.full((len(slots), q), -1, dtype=np.int64)
-    table[:, units] = (slots * scale) @ dlogs[units].T % lam
+    exps = _row_exponents(slot_orders)[0]
+    table = np.full((len(exps), q), -1, dtype=np.int64)
+    table[:, units] = (exps * scale) @ dlogs[units].T % lam
 
     assert len(table) == phi
     assert not table[0, units].any()  # row 0 is the principal character
-    return CharacterGroup(q, lam, table, slots, slot_orders)
+    return CharacterGroup(q, lam, table, slot_orders)

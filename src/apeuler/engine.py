@@ -300,7 +300,7 @@ def _execute(
     routed = exps[~direct].tolist()
     for s in routed:
         ls._check_branch(s.real, p_min)
-    ells = [ell for ell, rows, _ in character_group(q).unsieve_weights(a, depth) if rows] if routed else []
+    ells = [ell for ell, _, _ in character_group(q).unsieve_weights(a, depth)] if routed else []
     ls.fill_l_tables([*front, *(ell * s for s in routed for ell in ells)], q)
     total, bound = 0j, fixed
     for s, c in zip(routed, coeffs[~direct].tolist()):
@@ -409,6 +409,8 @@ def _necklace_plan(
     1e300, where p^-w is 0, so that w_m and f w_m stay finite.  Each factor
     expands as sum_f (kappa_f(c_m)/f) y_p(f w_m), cut at f = L; the fixed bound
     is the kappa tail past the cut, using |kappa_f(c)/f| <= max(1, |c|)^f.
+    Refused first, in log space, if those coefficients summed could pass the
+    doubles, from log max(1, |c_m|) <= sum_l m_l log max(1, |a_l|) over M(m) != 0.
 
     Compiled in array passes: the indices and their M(m) are read from
     ``_necklace_shape``, c_m, w_m and the kappa tails are array expressions
@@ -417,6 +419,11 @@ def _necklace_plan(
     one entry.
     """
     idx, mm = _necklace_shape(shape)
+    # |M(m) kappa_f(c_m) / f| <= M(m) max(1, |c_m|)^L for f <= L, and at most L len(mm) of them merge
+    log_caps = np.log(np.maximum(1.0, np.abs([al for al, _, _ in terms])))
+    log_top = depth * float(np.where(mm != 0, idx @ log_caps, 0).max()) + math.log(depth * len(mm) * mm.max())
+    if log_top >= math.log(np.finfo(float).max):
+        raise PrecisionUnreachableError(f"plan coefficients reach about 1e{log_top / math.log(10):.0f}, past the doubles")
     c = np.ones(len(mm), dtype=complex)
     w = np.zeros(len(mm), dtype=complex)
     s = complex(_held(np.array([s]), 1e300 / max(1.0, *(abs(u) for _, u, _ in terms)))[0])
@@ -449,10 +456,8 @@ def multi_term_product(spec: MultiTermSpec, ls: LSeries) -> ProductResult:
     cap = spec.coeff_cap
     depth = spec.depth
     plan, fixed = _necklace_plan(spec.terms, s, ("multi", k, depth), spec.p_min, depth)
-    structural = (
-        2**k
-        * cap**depth
-        / (math.factorial(k) * spec.p_min**depth)
+    structural = (  # A/P <= 1/(2k), so (A/P)^L cannot overflow
+        2**k / math.factorial(k) * (cap / spec.p_min) ** depth
         * ((depth + k) ** k + 1 + math.log(depth) + 3 * k * cap / depth)
     )
     return _execute(plan, fixed + structural, spec.q, spec.a, spec.p_min, depth, ls)

@@ -7,13 +7,14 @@ big-integer arithmetic with an integrality assertion.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arith import divisors, mobius
-from .errors import InternalError, InvalidArgumentError
+from .errors import InternalError, InvalidArgumentError, OutOfDomainError
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def power_sums(h: Polynomial, k_max: int) -> list[complex]:
     """Power sums s(1..k_max) of the inverse roots of h, h(0) = 1 required.
 
     Computed by the coefficient recursion
-    s(k) + a_1 s(k-1) + ... + a_{k-1} s(1) + k a_k = 0.
+    s(k) + a_1 s(k-1) + ... + a_{k-1} s(1) + k a_k = 0; refused past the doubles.
     """
     if h.coeff(0) != 1:
         raise InvalidArgumentError("power_sums requires constant term exactly 1")
@@ -59,6 +60,8 @@ def power_sums(h: Polynomial, k_max: int) -> list[complex]:
         for i in range(1, k):
             acc += h.coeff(i) * s[k - i - 1]
         s.append(-acc)
+    if not all(map(cmath.isfinite, s)):
+        raise OutOfDomainError("power sums pass the double range")
     return s
 
 

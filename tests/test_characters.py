@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +154,27 @@ def test_power_map_matches_integer_powers(q):
         for chi in grp.characters:
             assert (chi**d).index == rows[chi.index]
             assert chi**d is grp.characters[rows[chi.index]]
+
+
+@pytest.mark.parametrize("orders", [(), (4,), (2, 6), (2, 2, 3)])
+def test_row_exponents_number_rows_in_mixed_radix(orders):
+    exps, strides = characters._row_exponents(orders)
+    assert exps.tolist() == [list(e) for e in itertools.product(*(range(o) for o in orders))]
+    assert (exps @ strides).tolist() == list(range(math.prod(orders)))
+
+
+def test_unsieve_weights_form_one_power_row_at_a_time():
+    # forming all lambda powers at once would take 8 lambda = 16 KB per row here, and
+    # as much again for its temporary; built past the cache, so the 96 MB group is freed
+    grp = character_group.__wrapped__(2003)
+    grp.values
+    tracemalloc.start()
+    try:
+        grp.unsieve_weights(2, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * len(grp)
 
 
 def test_table_cap_admits_phi_q_times_q_up_to_it(monkeypatch):

@@ -153,6 +153,10 @@ def test_invalid_arguments_exit_two(capsys):
     assert run(["ap", "--s", "nonsense"]) == 2
     assert run(["rational", "--F", "0,1", "--P", "5"]) == 2  # F'(0) != 0
     capsys.readouterr()
+    # the power sums pass the doubles; this printed NaN, which is not JSON
+    assert run(["witt", "--poly", "1,1e200", "--K", "3", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "double range" in captured.err
 
 
 def test_unreachable_precision_exit_three(capsys, monkeypatch):
@@ -193,6 +197,31 @@ def test_plan_past_its_rounding_floor_exits_three(capsys):
     assert run(["multi", "--terms=1000,0,1,0", "--s", "2", "--P", "2000", "--L", "60", "--json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "rounding floor" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["multi", "--terms=1e4,0,1,0;1e4,0,2,0", "--s", "2", "--P", "40000", "--L", "10", "--json"],
+    ["multi", "--terms=100,0,1,0", "--s", "2", "--P", "200", "--L", "160", "--json"],
+])
+def test_plan_coefficients_past_the_doubles_exit_three(capsys, argv):
+    # kappa_L(c_m) reaches about 1e400 and 1e320: these ended in an overflow
+    # RuntimeWarning, or without the filter in exit 2 on a NaN bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "past the doubles" in captured.err
+
+
+def test_a_deep_plan_whose_coefficients_fit_returns_within_its_oracle(capsys):
+    # the structural term formed P^L = 200^150 and ended in an OverflowError;
+    # kappa_150(100) = 1e300 still fits in a double, so the plan is evaluated
+    argv = ["multi", "--terms=100,0,1,0", "--s", "2", "--P", "200", "--L", "150", "--check-oracle", "1000000", "--json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["oracle"]["delta"] <= out["bound"] + out["oracle"]["tail_bound"]
 
 
 def test_eps_env_must_be_positive(capsys, monkeypatch):

@@ -42,6 +42,8 @@ def test_y_p_zeta_inverse(ls6, primes_1e6):
     assert abs(y.value - orc.log_value) <= y.bound + orc.tail_bound
     # and the closed form: sum log(1 - p^-2) = -log zeta(2)
     assert abs(y.value - math.log(6 / math.pi**2)) <= y.bound + 2**-20
+    # at q = 1 every depth ell > 1 cancels, so only ell = 1 is listed
+    assert [ell for ell, _, _ in character_group(1).unsieve_weights(1, 10)] == [1]
 
 
 @pytest.mark.parametrize("q,a", [(4, 1), (4, 3), (5, 2)])

@@ -4,16 +4,30 @@ For q = 1 the prime zeta function P(s) = sum_p p^-s gives closed forms:
 sum_p log(1 - p^-s) = -sum_k P(ks)/k.  For progressions the reference is the
 prime-by-prime sum of log1p(-p^-s) at 40 digits, for ``demo`` at large Re s
 the prime product itself at 40 digits, and for the L layer's rows L - 1
-``mpmath.dirichlet`` - 1 at 30 digits.
+``mpmath.dirichlet`` - 1 at 30 digits.  The twin-prime and Artin constants
+come from ``mpmath.twinprime`` and ``mpmath.primezeta``, and ``ap`` at q = 4
+from a doubling identity in ``mpmath.zeta`` and ``mpmath.dirichlet``.
 """
 
 import math
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 import pytest
 
-from apeuler import APProductSpec, EvalParams, ap_product, character_group, continuation_demo, engine
+from apeuler import (
+    APProductSpec,
+    EvalParams,
+    Polynomial,
+    PrecisionUnreachableError,
+    RationalProductSpec,
+    ap_product,
+    character_group,
+    continuation_demo,
+    engine,
+    rational_product,
+)
 from apeuler.lseries import _l_table
 
 mpmath = pytest.importorskip("mpmath")
@@ -196,3 +210,81 @@ def test_y_p_just_below_the_cut_within_bound_of_mpmath(ls6, primes_1e6, q, a, p_
     assert engine._direct_cut(np.array([s.real]), p_min, ls6.primes.limit)[0] == 0
     res, error, tail = _one_term_against_mpmath(ls6, primes_1e6, q, a, p_min, s)
     assert error <= res.total_bound + tail
+
+
+@lru_cache(maxsize=None)
+def _log_constant_from(name):
+    """The log of a named constant at 40 digits, with its factors below the cut P taken out.
+
+    twin prime, P = 7: C_2 = prod_{p >= 3} (1 - 1/(p-1)^2) less p = 3 and 5.
+    artin, P = 5: prod_p (1 - 1/(p(p-1))), whose log is sum_{k >= 2} (1 - L_k)
+    P(k)/k with L_k the Lucas numbers, since 1 - x - x^2 has inverse roots of
+    power sums L_k; 400 terms, the last about (golden ratio/2)^400 = 1e-37.
+    Less p = 2 and 3.
+    """
+    with mpmath.workdps(40):
+        one = mpmath.mpf(1)
+        if name == "twin prime":
+            return mpmath.log(mpmath.twinprime) - mpmath.log(one - one / 4) - mpmath.log(one - one / 16)
+        lucas = [2, 1]
+        while len(lucas) < 401:
+            lucas.append(lucas[-1] + lucas[-2])
+        log_a = mpmath.fsum((1 - lucas[k]) * mpmath.primezeta(k) / k for k in range(2, 401))
+        return log_a - mpmath.log(one - one / 2) - mpmath.log(one - one / 6)
+
+
+# (constant, G, P, L) as rational products with F = x^2:
+# 1 - F/G = 1 - 1/(p-1)^2 at G = (1 - x)^2 and 1 - 1/(p(p-1)) at G = 1 - x
+CONSTANTS = [
+    ("twin prime", (1, -2, 1), 7, 10),
+    ("twin prime", (1, -2, 1), 7, 20),
+    pytest.param("twin prime", (1, -2, 1), 7, 30, marks=pytest.mark.xfail(
+        strict=True, raises=PrecisionUnreachableError,
+        reason="the plan's own rounding is outside its bound, so the floor check refuses it (ROADMAP item 1, defect (d))")),
+    ("artin", (1, -1), 5, 10),
+    ("artin", (1, -1), 5, 20),
+    ("artin", (1, -1), 5, 30),
+]
+
+
+@pytest.mark.parametrize("name,g,p_min,depth", CONSTANTS)
+def test_named_constant_within_bound_of_mpmath(ls6, name, g, p_min, depth):
+    spec = RationalProductSpec(f=Polynomial.of([0, 0, 1]), g=Polynomial.of(g), p_min=p_min, depth=depth)
+    res = rational_product(spec, ls6)
+    with mpmath.workdps(40):
+        error = float(abs(mpmath.mpc(res.log_value) - _log_constant_from(name)))
+    assert error <= res.total_bound
+
+
+@lru_cache(maxsize=None)
+def _log_q4_sums(s):
+    """sum_{p = a mod 4} log(1 - p^-s) for a = 1 and 3, at 40 digits.
+
+    With A_3(s) = prod_{p = 3 mod 4} (1 - p^-s)^-1 and zeta_odd(s) = zeta(s)(1 - 2^-s),
+    A_3(s)^2 = A_3(2s) zeta_odd(s) / L(s, chi_4), so log A_3(s) is
+    sum_{j < 12} 2^(-j-1) (log zeta_odd(2^j s) - log L(2^j s, chi_4)) up to about
+    3^(-4096 Re s).  Every log is principal: at Re s >= 1.1 each is below pi.
+    The a = 1 sum is -log zeta_odd(s) less the a = 3 one.
+    """
+    with mpmath.workdps(40):
+        s = mpmath.mpc(s)
+        two = mpmath.mpf(2)
+        log_odd = [mpmath.log(mpmath.zeta(2**j * s) * (1 - two ** (-(2**j) * s))) for j in range(12)]
+        log_a3 = mpmath.fsum(
+            two ** (-j - 1) * (log_odd[j] - mpmath.log(mpmath.dirichlet(2**j * s, [0, 1, 0, -1]))) for j in range(12)
+        )
+        return {1: log_a3 - log_odd[0], 3: -log_a3}
+
+
+Q4_POINTS = [2 + 0j, 3 + 0j, 1.5 + 3j, 1.1 + 0j, pytest.param(5.4 + 0j, marks=pytest.mark.xfail(
+    strict=True, reason="the L layer leaves the rounding of its sums and table products out of its bound "
+    "(ROADMAP item 1, defect (a))"))]
+
+
+@pytest.mark.parametrize("a", [1, 3])
+@pytest.mark.parametrize("s", Q4_POINTS)
+def test_ap_at_q_four_within_bound_of_the_doubling_identity(ls6, s, a):
+    res = ap_product(APProductSpec(s=s, q=4, a=a, p_min=2, depth=30), ls6)
+    with mpmath.workdps(40):
+        error = float(abs(mpmath.mpc(res.log_value) - _log_q4_sums(s)[a]))
+    assert error <= res.total_bound

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from apeuler import (
     InvalidArgumentError,
+    OutOfDomainError,
     Polynomial,
     beta_bound,
     kappa,
@@ -54,6 +55,14 @@ def test_power_sums_requires_unit_constant():
         power_sums(Polynomial.of([2, 1]), 3)
     with pytest.raises(InvalidArgumentError):
         power_sums(Polynomial.of([1, 1]), 0)
+
+
+def test_power_sums_past_the_doubles_are_refused():
+    # s(2) = 1e400 used to come out as inf, and every later value as NaN
+    h = Polynomial.of([1, 1e200])
+    for call in (lambda: power_sums(h, 3), lambda: witt_b(h, 3), lambda: lambert_log_expand(Polynomial.of([0]), h, 3)):
+        with pytest.raises(OutOfDomainError, match="double range"):
+            call()
 
 
 @pytest.mark.parametrize("seed", range(6))
