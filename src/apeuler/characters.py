@@ -1,17 +1,19 @@
-"""Dirichlet characters mod q as integer exponent tables.
+"""Dirichlet characters mod q, stored as the discrete logs of the residues.
 
-Every character mod q takes its values among the lambda-th roots of unity,
-lambda = lambda(q) being the exponent of (Z/qZ)*.  A ``CharacterGroup`` holds
-one int table E of shape phi(q) x q: E[i, n] = k means chi_i(n) =
-exp(2*pi*i*k/lambda), and E[i, n] = -1 marks residues not coprime to q.
-Orthogonality, conjugation and powers are exact integer arithmetic mod lambda
-(chi_i^d from the generator exponents that row index i encodes); conversion to
-floating complex happens once, in the cached value table, exact at the quarter turns.
+(Z/qZ)* is a product of cyclic groups of orders o_j (``slot_orders``): each
+unit is n = prod g_j^d_j(n) over generators g_j, and the character with
+exponents e is chi_e(n) = exp(2 pi i sum_j e_j d_j(n) / o_j).  Exponent and log
+vectors are numbered alike, in mixed radix (``CharacterGroup.digits``): row i
+is the character whose exponents are i's digits, and ``logs[n]`` is the number
+of d(n), -1 off the units.  That O(q) array and the lambda(q) roots of unity
+are all a group stores; chi_i(n) is formed where it is read, exact in integers
+up to the root, and ``lseries._l_table`` sums every row at once by an FFT.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -21,40 +23,54 @@ import numpy as np
 from .arith import divisors, euler_phi, factorize, mobius
 from .errors import InvalidArgumentError
 
-# Largest phi(q) * q accepted.  An ap evaluation mod q peaks near 30 bytes per
-# table entry, 24 of them the table and its value table (tracemalloc, q = 1009
-# and 2003 at s = 2), so the cap allows about 1 GB and admits every q up to
-# about 5,800.  A log-L cut costs about 110 bytes per prime below P at its
-# peak, whatever q is (q = 1009, s = 1.15, P = 630,000: about 51,000 primes).
+# Largest phi(q) * q accepted: the ``characters`` listing forms the whole angle
+# table, near 44 bytes per entry (tracemalloc, q = 1009 and 2003), so the cap
+# allows it about 1.5 GB and admits every q up to about 5,800; evaluation holds
+# no array that size (ap at q = 2003, s = 2 peaks at 12 MB).  A log-L cut costs
+# about 110 bytes per prime below P at its peak, whatever q is (q = 1009, s = 1.15, P = 630,000).
 TABLE_MAX = 1 << 25
 
 
 @dataclass(frozen=True, eq=False)
 class CharacterGroup:
-    """The full group of the phi(q) Dirichlet characters mod q: one table row each, their one stored form."""
+    """The phi(q) Dirichlet characters mod q, held as the discrete logs of the residues mod q."""
 
     modulus: int
-    exponent: int  # lambda(q): every table entry lies in [0, exponent) or is -1
-    table: np.ndarray  # int64, phi(q) x q
+    exponent: int  # lambda(q): every character value is a lambda-th root of unity, or 0
     slot_orders: tuple[int, ...]  # the orders of the generators of (Z/qZ)*
+    logs: np.ndarray  # int64, length q: the number of residue n's generator exponents, -1 off the units
     _unsieve: dict = field(default_factory=dict, repr=False)  # (a, L) -> unsieve_weights
 
     @cached_property
-    def values(self) -> np.ndarray:
-        """chi_i(n) as complex128, equal bit for bit to ``characters[i](n)``; 1, i, -1 and -i exactly."""
+    def roots(self) -> np.ndarray:
+        """exp(2 pi i k / lambda) for k < lambda as complex128; 1, i, -1 and -i exactly."""
         lam = self.exponent
         exact = (1, 1j, -1, complex(0, -1))  # at 4k = 0 mod lambda; the literal -1j has real part -0.0
-        roots = [exact[4 * k // lam] if 4 * k % lam == 0 else cmath.exp(2j * cmath.pi * (k / lam)) for k in range(lam)]
-        return np.array(roots + [0j])[self.table]  # index -1 picks the trailing 0
+        return np.array([exact[4 * k // lam] if 4 * k % lam == 0 else cmath.exp(2j * cmath.pi * (k / lam))
+                         for k in range(lam)], dtype=complex)
 
     @cached_property
     def characters(self) -> tuple["DirichletCharacter", ...]:
         return tuple(DirichletCharacter(self, i) for i in range(len(self)))
 
+    def digits(self, numbers) -> np.ndarray:
+        """The one statement of the row order: numbers as exponent vectors in mixed radix over the orders, last fastest."""
+        return np.asarray(numbers)[:, None] // _strides(self.slot_orders) % np.array(self.slot_orders, dtype=np.int64)
+
+    @cached_property
+    def turns(self) -> np.ndarray:
+        """turns[n, j] = d_j(n) lambda / o_j: residue n's generator exponents in 1/lambda turns, 0 off the units."""
+        return self.digits(np.maximum(self.logs, 0)) * (self.exponent // np.array(self.slot_orders, dtype=np.int64))
+
+    def angles(self, rows, residues) -> np.ndarray:
+        """k with chi_i(n) = roots[k] for every row i in ``rows`` by every n in ``residues``, -1 off the units."""
+        n = np.asarray(residues) % self.modulus
+        return np.where(self.logs[n] >= 0, self.digits(rows) @ self.turns[n].T % self.exponent, -1)
+
     def power_rows(self, d: int) -> np.ndarray:
         """Row indices of chi_i^d for every row i, d >= 0: exponents d e mod the orders, read back as a row."""
-        exps, strides = _row_exponents(self.slot_orders)
-        return (d % self.exponent * exps % np.array(self.slot_orders, dtype=np.int64)) @ strides
+        exps = d % self.exponent * self.digits(np.arange(len(self)))
+        return exps % np.array(self.slot_orders, dtype=np.int64) @ _strides(self.slot_orders)
 
     def unsieve_weights(self, a: int, depth: int) -> list[tuple[int, list[int], list[complex]]]:
         """The Moebius-unsieving weights of y_p for residue a, one entry per depth ell <= L with a nonzero weight.
@@ -68,7 +84,7 @@ class CharacterGroup:
         key = (a % self.modulus, depth)
         out = self._unsieve.get(key)
         if out is None:
-            conj_a = self.values[:, key[0]].conj()
+            conj_a = np.append(self.roots, 0)[self.angles(np.arange(len(self)), [key[0]])[:, 0]].conj()  # 0 off the units
             out = []
             for ell in range(1, depth + 1):
                 weights = np.zeros(len(self), dtype=complex)
@@ -83,12 +99,12 @@ class CharacterGroup:
         return out
 
     def __len__(self) -> int:
-        return len(self.table)
+        return math.prod(self.slot_orders)
 
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """A handle on row ``index`` of a character group's tables, as L-evaluation takes it."""
+    """A handle on row ``index`` of a character group, as L-evaluation takes it."""
 
     group: CharacterGroup = field(repr=False)
     index: int
@@ -97,15 +113,19 @@ class DirichletCharacter:
     def modulus(self) -> int:
         return self.group.modulus
 
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """chi's exponents e: chi(g_j) = exp(2 pi i e_j / o_j) at each generator g_j."""
+        return self.group.digits([self.index])[0]
+
     def __call__(self, n: int) -> complex:
-        return complex(self.group.values[self.index, n % self.modulus])
+        k = int(self.group.angles([self.index], [n])[0, 0])
+        return 0j if k < 0 else complex(self.group.roots[k])
 
     @cached_property
     def order(self) -> int:
         """Smallest k >= 1 with chi^k principal."""
-        lam = self.group.exponent
-        exps = self.group.table[self.index]
-        return lam // math.gcd(lam, *exps[exps >= 0].tolist())
+        return math.lcm(*(o // math.gcd(o, e) for o, e in zip(self.group.slot_orders, self.exponents.tolist())))
 
     def __pow__(self, d: int) -> "DirichletCharacter":
         if d < 0:
@@ -136,21 +156,16 @@ def _component_generators(p: int, e: int) -> list[tuple[int, int]]:
     return [(_primitive_root(p, e), euler_phi(q))]
 
 
-def _row_exponents(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The one statement of the row order: row i's exponents are i in mixed radix over ``orders``, the last fastest.
-
-    Returned with the strides back to i (i = exponents @ strides); row 0 is principal.
-    """
-    strides = np.array([math.prod(orders[k + 1:]) for k in range(len(orders))], dtype=np.int64)
-    rows = np.arange(math.prod(orders), dtype=np.int64)[:, None]
-    return rows // strides % np.array(orders, dtype=np.int64), strides
+def _strides(orders: tuple[int, ...]) -> np.ndarray:
+    """The strides of mixed radix over ``orders``, the last digit fastest: a number is its digits @ strides."""
+    return np.array([math.prod(orders[k + 1:]) for k in range(len(orders))], dtype=np.int64)
 
 
 def _component_dlog(q: int, gens: list[tuple[int, int]]) -> np.ndarray:
     """Discrete logs with respect to ``gens`` of every residue mod q, one row each (0 off the units)."""
-    exps = _row_exponents(tuple(o for _, o in gens))[0]
+    exps = list(itertools.product(*(range(o) for _, o in gens)))
     out = np.zeros((q, len(gens)), dtype=np.int64)
-    out[[math.prod(pow(g, t, q) for (g, _), t in zip(gens, row)) % q for row in exps.tolist()]] = exps
+    out[[math.prod(pow(g, t, q) for (g, _), t in zip(gens, row)) % q for row in exps]] = exps
     return out
 
 
@@ -167,17 +182,8 @@ def character_group(q: int) -> CharacterGroup:
         )
     components = [(p**e, _component_generators(p, e)) for p, e in factorize(q)]
     slot_orders = tuple(o for _, gens in components for _, o in gens)
-    lam = math.lcm(*slot_orders)
-
-    # Discrete logs of every unit n on every generator, scaled to exponents mod lambda.
     n = np.arange(q)
-    units = np.gcd(n, q) == 1
     dlogs = np.hstack([np.zeros((q, 0), dtype=np.int64), *(_component_dlog(qi, gens)[n % qi] for qi, gens in components)])
-    scale = np.array([lam // o for o in slot_orders], dtype=np.int64)
-    exps = _row_exponents(slot_orders)[0]
-    table = np.full((len(exps), q), -1, dtype=np.int64)
-    table[:, units] = (exps * scale) @ dlogs[units].T % lam
-
-    assert len(table) == phi
-    assert not table[0, units].any()  # row 0 is the principal character
-    return CharacterGroup(q, lam, table, slot_orders)
+    logs = np.where(np.gcd(n, q) == 1, dlogs @ _strides(slot_orders), -1)
+    assert np.array_equal(np.sort(logs[logs >= 0]), np.arange(phi))  # the units fill the grid once each
+    return CharacterGroup(q, math.lcm(*slot_orders), slot_orders, logs)

@@ -234,14 +234,14 @@ def execute_job(mode: str, spec: dict) -> dict:
 
     if mode == "characters":
         grp = character_group(_read(spec, "q"))
-        # Table entry k is the angle k/lambda, reduced; -1 picks the trailing None.
+        # Angle k is k/lambda of a turn, reduced; -1 picks the trailing None.
         k = np.arange(grp.exponent)
         g = np.gcd(k, grp.exponent)
         labels = [f"{n}/{d}" for n, d in zip((k // g).tolist(), (grp.exponent // g).tolist())]
         labels.append(None)
         out["characters"] = [
             {"order": chi.order, "angles": [labels[e] for e in row]}
-            for chi, row in zip(grp.characters, grp.table.tolist())
+            for chi, row in zip(grp.characters, grp.angles(np.arange(len(grp)), np.arange(grp.modulus)).tolist())
         ]
         return out
 

@@ -290,7 +290,7 @@ def _execute(
     total bound by more than u is refused with PrecisionUnreachableError: its
     coefficients amplify rounding past anything its bound shows.  The one u
     let through is the floor of a plain one-term plan, which belongs to y_p:
-    its L - 1 sums and table products round outside every bound.
+    its L - 1 sums and FFTs round outside every bound.
     """
     exps = _held(np.array(list(plan), dtype=complex))
     coeffs = np.array(list(plan.values()), dtype=complex)

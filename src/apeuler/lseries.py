@@ -3,9 +3,8 @@
 Every value comes back as a ``ValueWithBound``: a complex double paired with a
 rigorous absolute radius covering all mathematical truncations.  Floating
 rounding is still left out of these bounds: that of the kernel's N-term sums
-and of ``_l_table``'s character-table products (a truncated log reads L - 1,
-so it adds no ulp of 1); the engine's direct prime sums for large Re s do
-include theirs.
+and of ``_l_table``'s FFTs (a truncated log reads L - 1, so it adds no ulp of
+1); the engine's direct prime sums for large Re s do include theirs.
 
 ``EvalParams`` holds that target alone; the Euler-Maclaurin (N, M) search
 starts and stops at fixed module constants.  One kernel, ``_hurwitz_em``, sums
@@ -13,14 +12,15 @@ n^-s over n = qk + r for a list of distinct exponents and a list of r;
 ``_hurwitz_grid`` chooses (N, M) for all its exponents in one array search,
 ``_choose_em``, and makes one kernel call per (N, M) among them.  L - 1 is
 formed in one place, ``_l_table``: one such pass over the units r, then one
-table product per exponent; each reader of L adds the 1.  The module
+FFT over the characters; each reader of L adds the 1.  The module
 ``dirichlet_l`` reads its row of a fresh table and ``LSeries.dirichlet_l`` of a
 cached one, so the two agree bit for bit.  ``LSeries`` keeps two caches: L - 1
 of every character row per (s, q), filled a list of exponents at a time; and
 per (s, q, P), the part of a truncated log-L that no row owns (the primes below
-P as their columns mod q with p^-s), O(pi(P)) in size, with a slot per row for
-its truncated log.  ``LSeries._check_branch`` certifies from zeta(sigma) <
-sigma/(sigma-1) that each such log is the principal log of its value.
+P as their generator exponents, with p^-s), O(pi(P)) in size, with a slot per
+row for its truncated log.  ``LSeries._check_branch`` certifies from
+zeta(sigma) < sigma/(sigma-1) that each such log is the principal log of its
+value.
 """
 
 from __future__ import annotations
@@ -280,24 +280,23 @@ def _l_table(exps: list[complex], group: CharacterGroup, params: EvalParams) -> 
 
     The only place L is formed.  One batched ``_hurwitz_grid`` pass sums n^-s
     over n = qk + r at every unit r in 1..q for all of ``exps``, r = 1 passed
-    as q + 1 so that n = 1 is left out; then each exponent takes one product
-    of the character table with its own sums, so its rows do not depend on
-    what else shared the pass.  Those sums sit at column r mod q of one
-    q-wide vector, 0 at the non-units: taking the unit columns of the table
-    instead would copy a phi(q) x phi(q) block on every call.  Per exponent
-    the rows come as one list, with one shared bound, the sum of that
-    exponent's remainder bounds.
+    as q + 1 so that n = 1 is left out.  Each exponent's sums go to a grid over
+    the generator orders, at the cell of each r's exponents d(r); as
+    chi_e(r) = exp(2 pi i sum_j e_j d_j(r) / o_j), one unscaled inverse FFT
+    over the grid axes gives L - 1 at every row e, in row order.  The FFT runs
+    along those axes only, so an exponent's rows do not depend on what else
+    shared the pass.  Per exponent the rows come as one list, with one shared
+    bound, the sum of that exponent's remainder bounds.
     """
     q = group.modulus
     r = np.arange(1, q + 1)
     r = r[np.gcd(r, q) == 1]
     sums, bounds = _hurwitz_grid(exps, np.where(r == 1, q + 1, r), q, params)
-    column = np.zeros(q, dtype=complex)
-    out = []
-    for sums_r, bound in zip(sums, bounds.sum(axis=1).tolist()):
-        column[r % q] = sums_r
-        out.append(((group.values @ column).tolist(), bound))
-    return out
+    grid = np.zeros_like(sums)
+    grid[:, group.logs[r % q]] = sums
+    axes = range(1, len(group.slot_orders) + 1)
+    rows = np.fft.ifftn(grid.reshape(len(exps), *group.slot_orders), axes=axes, norm="forward")
+    return list(zip(rows.reshape(len(exps), -1).tolist(), bounds.sum(axis=1).tolist()))
 
 
 def dirichlet_l(
@@ -307,8 +306,8 @@ def dirichlet_l(
 ) -> ValueWithBound:
     """L(s, chi) for Re s > 1: the row of chi in a fresh ``_l_table`` of its group.
 
-    The same table product ``LSeries.dirichlet_l`` reads from its cache, so
-    the two agree bit for bit; it forms every row of the group, O(phi(q) q).
+    The same FFT ``LSeries.dirichlet_l`` reads from its cache, so the two
+    agree bit for bit; it forms every row of the group, O(phi(q) log phi(q)).
     """
     s = complex(s)
     if s.real <= 1:
@@ -320,8 +319,8 @@ def dirichlet_l(
 class _Cut(NamedTuple):
     """The (s, q, P) entry of a truncated log L_P(s, chi) mod q: what no row owns, and each row's log."""
 
-    cols: np.ndarray  # p mod q for each prime p below P
-    powers: list[complex]  # p^-s for each of those primes
+    turns: np.ndarray  # the generator exponents of each prime p below P, as ``CharacterGroup.turns[p mod q]``
+    powers: list[complex]  # p^-s for each of those primes, 0 at p | q (where chi(p) = 0)
     l_values: tuple[list[complex], float]  # the (s, q) entry of the L cache, shared with it
     logs: list[ValueWithBound | None]  # per table row: its truncated log, None until first read
 
@@ -329,17 +328,17 @@ class _Cut(NamedTuple):
 class LSeries:
     """Evaluator bundling a prime table, accuracy parameters and two caches.
 
-    * per (s, q): L(s, chi) - 1 of every character-table row and their shared
+    * per (s, q): L(s, chi) - 1 of every character row and their shared
       bound, one ``_l_table`` entry.  ``fill_l_tables`` builds the missing
       entries of a list of exponents in one batched Euler-Maclaurin pass;
       zeta(s) is the q = 1 entry, and ``dirichlet_l`` and every truncated
       log-L miss read their row from it.
     * per (s, q, P): one entry, built on the first read of any row: the
-      primes below P as their columns mod q with p^-s, and a slot per row
-      for its truncated log-L, formed on that row's first read.  Its size is
-      O(phi(q) + pi(P)), not O(phi(q) pi(P)): a row reads chi(p) from the
-      table through the columns, and forms only its own Euler product over
-      those primes and the log.
+      primes below P as their generator exponents with p^-s, and a slot per
+      row for its truncated log-L, formed on that row's first read.  Its size
+      is O(phi(q) + pi(P)), not O(phi(q) pi(P)): a row forms its chi(p) from
+      its own exponents, in one integer product with those, then only its own
+      Euler product over those primes and the log.
     """
 
     def __init__(self, primes: PrimeTable, params: EvalParams = EvalParams()):
@@ -437,16 +436,17 @@ class LSeries:
         if cut is None:
             self._check_branch(s.real, p_min)
             primes = self.primes.below(p_min)
-            powers = [cmath.exp(-s * math.log(p)) for p in primes.tolist()]
-            cut = _Cut(primes % q, powers, self._l_values(s, q), [None] * len(chi.group))
+            powers = [cmath.exp(-s * math.log(p)) if q % p else 0j for p in primes.tolist()]
+            cut = _Cut(chi.group.turns[primes % q], powers, self._l_values(s, q), [None] * len(chi.group))
             self._cut_cache[(s, q, p_min)] = cut
         out = cut.logs[chi.index]
         if out is not None:
             return out
         values, bound = cut.l_values
         d = lam = values[chi.index]
-        for c, z in zip(chi.group.values[chi.index].take(cut.cols).tolist(), cut.powers):
-            t = -c * z
-            d += t + d * t
+        if cut.powers:  # at P = 2 no factor is removed and no chi(p) is formed
+            for c, z in zip(chi.group.roots.take(cut.turns @ chi.exponents, mode="wrap").tolist(), cut.powers):
+                t = -c * z
+                d += t + d * t
         out = cut.logs[chi.index] = ValueWithBound(*_ball_log(d, bound * abs(1 + d) / abs(1 + lam)))
         return out

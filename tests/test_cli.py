@@ -108,7 +108,7 @@ def test_characters_output_matches_the_exact_angles(capsys, q):
     grp = character_group(q)
     angles = [Fraction(k, grp.exponent) for k in range(grp.exponent)]
     labels = [f"{a.numerator}/{a.denominator}" for a in angles] + [None]  # -1 picks None
-    rows = [(chi.order, [labels[k] for k in grp.table[chi.index]]) for chi in grp.characters]
+    rows = [(chi.order, [labels[k] for k in grp.angles([chi.index], range(q))[0]]) for chi in grp.characters]
     expected_json = {
         "mode": "characters",
         "spec": {"q": q},

@@ -302,10 +302,10 @@ def test_dirichlet_l_principal_mod_two():
     assert abs(val.value - (1 - 2**-3) * z3.value) <= val.bound + z3.bound + 1e-13
 
 
-@pytest.mark.parametrize("q", [1, 4, 30, 101, 210])
+@pytest.mark.parametrize("q", [1, 4, 8, 24, 30, 101, 210, 1009])
 def test_batched_l_table_rows_equal_one_exponent_tables(q):
-    # an exponent's L values do not depend on what else shared its fill: each
-    # exponent takes its own table product, not one product over the batch
+    # an exponent's L values do not depend on what else shared its fill: the
+    # FFT runs along each exponent's own grid (one axis or several, up to 1008 long)
     exps = [2 + 0j, 1.1 + 40j, 3 + 20j, 1.5 - 3j, 12 + 0j, 1.2 + 0.5j]
     group = character_group(q)
     for s, row in zip(exps, _l_table(exps, group, EvalParams())):
@@ -357,9 +357,10 @@ def test_log_truncated_l_double_sum_oracle(ls6):
     ps = ls6.primes.in_range(5, 10**6)
     direct = 0j
     residues = np.ones_like(ps)  # p^k mod 4, stepped in k
+    values = np.array([chi(n) for n in range(4)])
     for k in range(1, 41):
         residues = residues * (ps % 4) % 4
-        direct += np.sum(chi.group.values[chi.index, residues] * ps.astype(float) ** (-2.0 * k)) / k
+        direct += np.sum(values[residues] * ps.astype(float) ** (-2.0 * k)) / k
     tail = 2.0 / 10**6  # geometric remainder over p > 1e6 and k > 40
     lt = ls6.log_truncated_l(2 + 0j, chi, 5)
     assert abs(lt.value - direct) <= lt.bound + tail + 1e-12
@@ -483,7 +484,7 @@ def test_a_cut_near_sigma_one_holds_its_primes_not_a_table_of_them(primes_1e6):
 
     q, s = 1009, 1.15 + 0j
     group = character_group(q)
-    group.values  # the phi(q) x q table and the L table are built before the trace
+    group.roots  # the roots and the L table are built before the trace
     ls = LSeries(primes_1e6)
     ls.fill_l_tables([s], q)
     tracemalloc.start()
@@ -492,7 +493,7 @@ def test_a_cut_near_sigma_one_holds_its_primes_not_a_table_of_them(primes_1e6):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n = len(ls._cut_cache[(s, q, 630_000)].cols)
+    n = len(ls._cut_cache[(s, q, 630_000)].turns)
     assert n > 50_000
     assert peak < 256 * n
 
