@@ -36,14 +36,21 @@ class PrimeTable:
     def __len__(self) -> int:
         return len(self.primes)
 
+    def _check_limit(self, bound: int) -> None:
+        """Refuse a bound past ``limit``: the table cannot tell which primes lie beyond it."""
+        if bound > self.limit:
+            raise InvalidArgumentError(f"prime table limit {self.limit} too small for P={bound}")
+
     def in_range(self, lo: int, hi: int) -> np.ndarray:
-        """Primes p with lo <= p <= hi."""
+        """Primes p with lo <= p <= hi; refused (``_check_limit``) for hi past ``limit``."""
+        self._check_limit(hi)
         i = np.searchsorted(self.primes, lo, side="left")
         j = np.searchsorted(self.primes, hi, side="right")
         return self.primes[i:j]
 
     def below(self, bound: int) -> np.ndarray:
-        """Primes p < bound."""
+        """Primes p < bound; refused (``_check_limit``) for a bound past ``limit``."""
+        self._check_limit(bound)
         return self.primes[: np.searchsorted(self.primes, bound, side="left")]
 
 

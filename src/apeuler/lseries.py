@@ -8,19 +8,19 @@ and of ``_l_table``'s FFTs (a truncated log reads L - 1, so it adds no ulp of
 
 ``EvalParams`` holds that target alone; the Euler-Maclaurin (N, M) search
 starts and stops at fixed module constants.  One kernel, ``_hurwitz_em``, sums
-n^-s over n = qk + r for a list of distinct exponents and a list of r;
-``_hurwitz_grid`` chooses (N, M) for all its exponents in one array search,
-``_choose_em``, and makes one kernel call per (N, M) among them.  L - 1 is
-formed in one place, ``_l_table``: one such pass over the units r, then one
-FFT over the characters; each reader of L adds the 1.  The module
-``dirichlet_l`` reads its row of a fresh table and ``LSeries.dirichlet_l`` of a
-cached one, so the two agree bit for bit.  ``LSeries`` keeps two caches: L - 1
-of every character row per (s, q), filled a list of exponents at a time; and
-per (s, q, P), the part of a truncated log-L that no row owns (the primes below
-P as their generator exponents, with p^-s), O(pi(P)) in size, with a slot per
-row for its truncated log.  ``LSeries._check_branch`` certifies from
-zeta(sigma) < sigma/(sigma-1) that each such log is the principal log of its
-value.
+n^-s over n = qk + r for a list of distinct exponents and a list of r, values
+only; ``_hurwitz_grid`` chooses (N, M) and log K(M) for all its exponents in
+one array search, ``_choose_em``, makes one kernel call per (N, M) among them
+and forms every remainder bound from log K(M).  L - 1 is formed in one place,
+``_l_table``: one such pass over the units r, then one FFT over the
+characters; each reader of L adds the 1.  The module ``dirichlet_l`` reads its
+row of a fresh table and ``LSeries.dirichlet_l`` of a cached one, so the two
+agree bit for bit.  ``LSeries`` keeps two caches: L - 1 of every character row
+per (s, q), filled a list of exponents at a time; and per (s, q, P), the part
+of a truncated log-L that no row owns (the primes below P as their generator
+exponents, with p^-s), O(pi(P)) in size, with a slot per row for its truncated
+log.  ``LSeries._check_branch`` certifies from zeta(sigma) < sigma/(sigma-1)
+that each such log is the principal log of its value.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def _em_table() -> np.ndarray:
     return table
 
 
-def _choose_em(exps: np.ndarray, x: float, params: EvalParams) -> tuple[np.ndarray, np.ndarray]:
+def _choose_em(exps: np.ndarray, x: float, params: EvalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pick (N, M) per exponent so the Euler-Maclaurin remainder majorant is <= target_eps at x.
 
     The remainder bound is K(M) * (N + x)^(-sigma - 2M - 1) with
@@ -154,8 +154,9 @@ def _choose_em(exps: np.ndarray, x: float, params: EvalParams) -> tuple[np.ndarr
     where a scan upwards in M that keeps the smallest N and stops once it is
     at most 4 * _EM_TERMS ends.  log K(M) and t are formed with that scan's
     operations in its order; numpy's log, abs and exp may differ from the
-    math module's in the last bit, too little to move an N.  Returns N and M
-    per exponent; both are 0 where no M gives an N within _MAX_TERMS.
+    math module's in the last bit, too little to move an N.  Returns N, M and
+    log K(M) per exponent, the one K(M) behind every remainder bound; N and M
+    are 0 where no M gives an N within _MAX_TERMS.
     """
     _, log_b, log_fact = _em_table()
     orders = slice(_EM_ORDER + 1, _MAX_ORDER + 2)  # j = M + 1
@@ -170,25 +171,23 @@ def _choose_em(exps: np.ndarray, x: float, params: EvalParams) -> tuple[np.ndarr
     n[n > _MAX_TERMS] = np.inf  # no N within the ceiling at this M
     small = n <= 4 * _EM_TERMS
     k = np.where(small.any(axis=1), small.argmax(axis=1), n.argmin(axis=1))
-    n = n[np.arange(len(exps)), k]
+    n, log_k = n[np.arange(len(exps)), k], log_k[np.arange(len(exps)), k]
     found = n <= _MAX_TERMS
-    return np.where(found, n, 0).astype(np.int64), np.where(found, k + _EM_ORDER, 0)
+    return np.where(found, n, 0).astype(np.int64), np.where(found, k + _EM_ORDER, 0), log_k
 
 
-def _hurwitz_em(
-    exps: np.ndarray, rs: np.ndarray, q: int, n_terms: int, order: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _hurwitz_em(exps: np.ndarray, rs: np.ndarray, q: int, n_terms: int, order: int) -> np.ndarray:
     """Euler-Maclaurin values of sum_{k>=0} (qk + r)^-s for every s in ``exps`` and r in ``rs``, with explicit (N, M).
 
-    Returns the values and the remainder majorants as (len(exps), len(rs))
-    arrays; the tail sits at W = qN + r, where the majorant K(M) q^(2M+1)
-    W^(-sigma-2M-1) is |q^-s| times zeta(s, r/q)'s.  log(qk + r) is formed once
-    per r, and once per exponent the Pochhammer symbols, in Python's complex
-    arithmetic (numpy's may fuse a multiply-add), and log K(M), in rows that do
-    not mix: each (s, r) comes out bit for bit as it would alone.  Pochhammer
-    takes s held at 1e40: past it M = 4 (a higher M only raises N <= 2^22 << |s|)
-    and (s)_7 < 1e282; past Re s = 1e40 each correction term is 0 (W > 16), past
-    |Im s| = 1e40 below (2 pi W / (q |s|))^2 < 1e-60 of the majorant.
+    Returns the values as a (len(exps), len(rs)) array, with the tail at
+    W = qN + r; their remainder bounds are ``_hurwitz_grid``'s.  log(qk + r)
+    is formed once per r, and once per exponent the Pochhammer symbols, in
+    Python's complex arithmetic (numpy's may fuse a multiply-add), in rows
+    that do not mix: each (s, r) comes out bit for bit as it would alone.
+    Pochhammer takes s held at 1e40: past it M = 4 (a higher M only raises
+    N <= 2^22 << |s|) and (s)_7 < 1e282; past Re s = 1e40 each correction
+    term is 0 (W > 16), past |Im s| = 1e40 below (2 pi W / (q |s|))^2 < 1e-60
+    of the remainder bound.
     """
     s = exps[:, None]
     qk = q * np.arange(n_terms, dtype=float)
@@ -203,7 +202,7 @@ def _hurwitz_em(
     logw = np.log(w)
     value += np.exp((1 - s) * logw) / (q * (s - 1)) + 0.5 * np.exp(-s * logw)
 
-    b_fact, log_b, log_fact = _em_table()
+    b_fact = _em_table()[0]
     coeffs = []  # per j: B_2j / (2j)! * (s)_{2j-1}, per exponent
     poch = listed = _held(exps, 1e40).tolist()
     for jj, b in enumerate(b_fact[1 : order + 1].tolist(), 1):
@@ -214,17 +213,7 @@ def _hurwitz_em(
     for c in np.array(coeffs, dtype=complex)[:, :, None]:
         value += c * wpow
         wpow *= step
-    # remainder majorant, in log space to dodge overflow
-    top = 2 * order + 1
-    log_k = (
-        np.log(np.abs(exps + top))
-        - np.log(exps.real + top)
-        + log_b[order + 1]
-        - log_fact[order + 1]
-        + np.log(np.abs(s + np.arange(top))).sum(axis=1)
-    )
-    log_bound = log_k[:, None] + top * math.log(q) - (s.real + top) * logw
-    return value, np.exp(np.minimum(log_bound, 700.0))
+    return value
 
 
 def _hurwitz_grid(
@@ -235,18 +224,22 @@ def _hurwitz_grid(
     Both arrays have one row per exponent.  The exponents are held (``_held``);
     one array search chooses (N, M) for every s at x = min(1, r)/q, where the
     most terms are needed (1/q for an L table), and the exponents that share an
-    (N, M) go to one kernel call.  Each majorant is still checked against
-    target_eps; a refusal is raised for the first s, in order, that fails.
+    (N, M) go to one kernel call.  The remainder bounds K(M) q^(2M+1)
+    W^(-sigma-2M-1) at W = qN + r, |q^-s| times zeta(s, r/q)'s, are one array
+    expression in log space (held at 700) from the search's log K(M).  Each is
+    checked against target_eps; a refusal is raised for the first s, in order, that fails.
     """
     stacked = _held(np.array(exps, dtype=complex))
-    n, m = _choose_em(stacked, min(1.0, float(rs.min())) / q, params)
+    n, m, log_k = _choose_em(stacked, min(1.0, float(rs.min())) / q, params)
     values = np.zeros((len(exps), len(rs)), dtype=complex)
-    bounds = np.zeros((len(exps), len(rs)))
     groups, which = np.unique(n * (_MAX_ORDER + 1) + m, return_inverse=True)  # one key per (N, M)
     for g, key in enumerate(groups.tolist()):
         if key:  # key 0 is (0, 0): no (N, M) reaches target_eps
             rows = np.flatnonzero(which == g)
-            values[rows], bounds[rows] = _hurwitz_em(stacked[rows], rs, q, *divmod(key, _MAX_ORDER + 1))
+            values[rows] = _hurwitz_em(stacked[rows], rs, q, *divmod(key, _MAX_ORDER + 1))
+    top = (2 * m + 1)[:, None]
+    log_bound = log_k[:, None] + top * math.log(q) - (stacked.real[:, None] + top) * np.log(q * n[:, None] + rs)
+    bounds = np.exp(np.minimum(log_bound, 700.0))
     unreachable = n == 0
     nonfinite = ~np.isfinite(values).all(axis=1)
     bad = unreachable | nonfinite | (bounds > params.target_eps).any(axis=1)
@@ -382,16 +375,16 @@ class LSeries:
         return ValueWithBound(1 + values[chi.index], bound)
 
     def zeta_p(self, s: complex, p_min: int) -> ValueWithBound:
-        """zeta with Euler factors below p_min removed: zeta(s) * prod_{p<P} (1 - p^-s)."""
+        """zeta(s) * prod_{p<P} (1 - p^-s), zeta without its Euler factors below P; refused past the prime table."""
         s = complex(s)
         if s.real <= 1:
             raise OutOfDomainError("zeta_p requires Re s > 1")
         if p_min < 2:
             raise InvalidArgumentError("zeta_p requires P >= 2")
-        z = self.zeta(s)
         factor = 1 + 0j
         for p in self.primes.below(p_min):
             factor *= 1 - cmath.exp(-s * math.log(int(p)))
+        z = self.zeta(s)
         return ValueWithBound(z.value * factor, z.bound * abs(factor))
 
     def _check_branch(self, sigma: float, p_min: int) -> None:
@@ -403,15 +396,13 @@ class LSeries:
         L(s, chi) prod_{p<P} (1 - chi(p) p^-s) the series log.
         The prime sum is formed only where log(sigma/(sigma-1)) >= 3, that is
         sigma <= 1.0524.  The one place the log-L layer refuses: Re s <= 1,
-        P < 2, P past the prime table, or B >= 3.
+        P < 2, P past the prime table (the table's own refusal) or B >= 3.
         """
         if sigma <= 1:
             raise OutOfDomainError("log_truncated_l requires Re s > 1")
         if p_min < 2:
             raise InvalidArgumentError("log_truncated_l requires P >= 2")
-        limit = self.primes.limit
-        if p_min > limit:
-            raise InvalidArgumentError(f"prime table limit {limit} too small for P={p_min}")
+        self.primes._check_limit(p_min)
         b = math.log(sigma / (sigma - 1))
         if b >= 3:
             b += sum(math.log1p(-(p ** -sigma)) for p in self.primes.below(p_min).tolist())

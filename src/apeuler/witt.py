@@ -11,7 +11,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .arith import divisors, mobius
 from .errors import InternalError, InvalidArgumentError, OutOfDomainError
@@ -65,21 +65,23 @@ def power_sums(h: Polynomial, k_max: int) -> list[complex]:
     return s
 
 
+def _mobius_sum(n: int, term: Callable, acc=0):
+    """acc + sum_{d|n} mu(n/d) term(d), added in ascending d; term(d) is read only where mu(n/d) != 0."""
+    for d in divisors(n):
+        mu = mobius(n // d)
+        if mu:
+            acc += mu * term(d)
+    return acc
+
+
 def witt_b(h: Polynomial, k_max: int) -> list[complex]:
     """Exponents b(1..k_max) of the factorization h(t) = prod_j (1 - t^j)^b(j).
 
-    b(k) = (1/k) sum_{d|k} mu(k/d) s(d) with s the power sums of h.
+    b(k) = (1/k) sum_{d|k} mu(k/d) s(d) with s the power sums of h, one
+    ``_mobius_sum`` per k.
     """
     s = power_sums(h, k_max)
-    out = []
-    for k in range(1, k_max + 1):
-        acc = 0j
-        for d in divisors(k):
-            mu = mobius(k // d)
-            if mu:
-                acc += mu * s[d - 1]
-        out.append(acc / k)
-    return out
+    return [_mobius_sum(k, lambda d: s[d - 1], 0j) / k for k in range(1, k_max + 1)]
 
 
 def beta_bound(h: Polynomial) -> float:
@@ -97,6 +99,7 @@ def beta_bound(h: Polynomial) -> float:
 def necklace_m(m: Sequence[int]) -> int:
     """The integer M(m_1,...,m_k) = (1/N) sum_{d | gcd(m)} mu(d) (N/d)! / prod (m_i/d)!.
 
+    The sum runs over e = gcd(m)/d, a ``_mobius_sum`` in exact integers.
     Entries must be integers (numpy integers included).  The necklace plans
     in ``engine`` compile M(m) once per plan shape, not per call.
     """
@@ -107,15 +110,7 @@ def necklace_m(m: Sequence[int]) -> int:
     if n < 1:
         raise InvalidArgumentError("multi-index must have positive total")
     g = math.gcd(*m)
-    acc = 0
-    for d in divisors(g):
-        mu = mobius(d)
-        if not mu:
-            continue
-        t = math.factorial(n // d)
-        for mi in m:
-            t //= math.factorial(mi // d)
-        acc += mu * t
+    acc = _mobius_sum(g, lambda e: math.factorial(n * e // g) // math.prod(math.factorial(mi * e // g) for mi in m))
     if acc % n != 0:
         raise InternalError(f"necklace coefficient not integral at m={m}")
     return acc // n
@@ -124,20 +119,15 @@ def necklace_m(m: Sequence[int]) -> int:
 def kappa(d: complex, f: int) -> complex:
     """Coefficients converting a log series in d into logs of (1 - x^f).
 
-    kappa_f(d) = sum_{e | f} mu(f/e) d^e, the unique choice with
-    sum_{f | n} kappa_f(d) = d^n, which makes
+    kappa_f(d) = sum_{e | f} mu(f/e) d^e, a ``_mobius_sum``, is the unique
+    choice with sum_{f | n} kappa_f(d) = d^n, which makes
     sum_k d^k x^k / k = sum_f (kappa_f(d)/f) * (-log(1 - x^f))
     an exact identity for |d x| < 1.  Reduces to d at f = 1 and to
     d^f - d at prime f.  A numpy array d gives kappa_f of every entry.
     """
     if f < 1:
         raise InvalidArgumentError("kappa requires f >= 1")
-    acc = 0j if isinstance(d, complex) else 0.0
-    for e in divisors(f):
-        mu = mobius(f // e)
-        if mu:
-            acc += mu * d**e
-    return acc
+    return _mobius_sum(f, lambda e: d**e, 0j if isinstance(d, complex) else 0.0)
 
 
 def lambert_log_expand(

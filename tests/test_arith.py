@@ -139,6 +139,15 @@ def test_prime_table_range_helpers(primes_1e6):
     assert list(primes_1e6.below(12)) == [2, 3, 5, 7, 11]
 
 
+def test_prime_table_refuses_a_bound_past_its_limit():
+    # up to the limit a table answers; past it, primes it does not hold would be missing
+    table = sieve(100)
+    assert table.below(100)[-1] == 97 and table.in_range(90, 100).tolist() == [97]
+    for ask in (lambda: table.below(101), lambda: table.in_range(2, 101), lambda: table.in_range(500, 1000)):
+        with pytest.raises(InvalidArgumentError, match=r"^prime table limit 100 too small for P="):
+            ask()
+
+
 @pytest.mark.parametrize("n,expected", [(1, 1), (12, 0), (30, -1), (2, -1), (6, 1)])
 def test_mobius_values(n, expected):
     assert mobius(n) == expected

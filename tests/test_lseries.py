@@ -91,14 +91,15 @@ def test_eval_params_refuse_a_target_that_is_not_positive_and_finite(eps):
 
 
 def test_bound_honesty_doubled_parameters():
-    # the columns of hurwitz_zeta (q = 1, r = x <= 1) and of L tables (r >= 2, r = q + 1)
+    # the grid's value and bound against the kernel at (2N, M + 4), on the
+    # columns of hurwitz_zeta (q = 1, r = x <= 1) and of L tables (r >= 2, r = q + 1)
     for s in GRID_S:
         for q, r in ((1, 1.0), (1, 0.5), (1, 0.25), (1, 2), (4, 3), (4, 5), (30, 31)):
             params = EvalParams()
             s_r = np.array([s]), np.array([r], dtype=float)
-            n, m = (int(c[0]) for c in _choose_em(s_r[0], min(1, r) / q, params))
-            ((base,),), ((base_bound,),) = _hurwitz_em(*s_r, q, n, m)
-            ((refined,),), _ = _hurwitz_em(*s_r, q, 2 * n, min(m + 4, 60))
+            n, m, _ = (c[0].item() for c in _choose_em(s_r[0], min(1, r) / q, params))
+            ((base,),), ((base_bound,),) = _hurwitz_grid([s], s_r[1], q, params)
+            ((refined,),) = _hurwitz_em(*s_r, q, 2 * n, min(m + 4, 60))
             assert abs(base - refined) <= base_bound + 1e-13
 
 
@@ -118,11 +119,11 @@ _Q = st.integers(1, 30)
 @given(exps=_EXPONENTS, rs=_XS, q=_Q, n_terms=st.integers(16, 300), order=st.integers(4, 12))
 @settings(max_examples=60, deadline=None)
 def test_stacked_kernel_rows_equal_one_exponent_calls(exps, rs, q, n_terms, order):
-    values, bounds = _hurwitz_em(np.array(exps), np.array(rs), q, n_terms, order)
+    values = _hurwitz_em(np.array(exps), np.array(rs), q, n_terms, order)
     for i, si in enumerate(exps):
         for j, rj in enumerate(rs):
-            ((v,),), ((b,),) = _hurwitz_em(np.array([si]), np.array([rj]), q, n_terms, order)
-            assert values[i, j] == v and bounds[i, j] == b
+            ((v,),) = _hurwitz_em(np.array([si]), np.array([rj]), q, n_terms, order)
+            assert values[i, j] == v
 
 
 @pytest.mark.parametrize("block", [1, 40, 200])
@@ -134,27 +135,22 @@ def test_kernel_blocks_change_no_bit(monkeypatch, block):
     exps, rs = np.array([1.3 + 2j, 2.0 + 0j, 5 - 7j]), np.array([7, 11, 13, 29, 31])
     whole = lseries._hurwitz_em(exps, rs, 30, 20, 5)
     monkeypatch.setattr(lseries, "_BLOCK_ELEMS", block)
-    for a, b in zip(whole, lseries._hurwitz_em(exps, rs, 30, 20, 5)):
-        assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+    assert whole.view(np.int64).tolist() == lseries._hurwitz_em(exps, rs, 30, 20, 5).view(np.int64).tolist()
 
 
-@given(exps=_EXPONENTS, rs=_XS, q=_Q, order=st.integers(4, 12))
+@given(exps=_EXPONENTS, rs=_XS, q=_Q, eps=st.sampled_from([1e-8, 1e-14, 1e-20, 1e-40]))
 @settings(max_examples=60, deadline=None)
-def test_remainder_majorant_matches_the_per_exponent_formula(exps, rs, q, order):
-    # K(M) q^(2M+1) W^(-sigma-2M-1) at W = 16 q + r, with log K(M) =
-    # log|s+2M+1| - log(sigma+2M+1) + log|B_2M+2| - log (2M+2)! + sum_j<2M+1 log|s+j|
-    from apeuler.lseries import _log_abs_fraction
-
-    _, bounds = _hurwitz_em(np.array(exps), np.array(rs), q, 16, order)
-    top = 2 * order + 1
+def test_remainder_majorant_matches_the_per_exponent_formula(exps, rs, q, eps):
+    # the grid's bounds against K(M) q^(2M+1) W^(-sigma-2M-1) at W = qN + r,
+    # with (N, M) and log K(M) from the scalar search below; the target moves M
+    params = EvalParams(target_eps=eps)
+    rs = np.array(rs)
+    _, bounds = _hurwitz_grid(exps, rs, q, params)
     for si, row in zip(exps, bounds):
-        log_k = (
-            math.log(abs(si + top)) - math.log(si.real + top)
-            + _log_abs_fraction(BERNOULLI[2 * order + 2]) - math.lgamma(2 * order + 3)
-            + sum(math.log(abs(si + j)) for j in range(top))
-        )
-        for rj, b in zip(rs, row):
-            ref = math.exp(min(log_k + top * math.log(q) - (si.real + top) * math.log(16 * q + rj), 700.0))
+        n, order, log_k = _choose_em_scalar(si, min(1.0, rs.min()) / q, params)
+        top = 2 * order + 1
+        for rj, b in zip(rs.tolist(), row):
+            ref = math.exp(min(log_k + top * math.log(q) - (si.real + top) * math.log(q * n + rj), 700.0))
             assert b == pytest.approx(ref, rel=1e-12)
 
 
@@ -171,10 +167,12 @@ def test_batched_grid_equals_one_exponent_grids(exps, rs, q):
         assert v.tolist() == one_v.tolist() and b.tolist() == one_b.tolist()
 
 
-def _choose_em_scalar(s: complex, x: float, params: EvalParams) -> tuple[int, int]:
+def _choose_em_scalar(s: complex, x: float, params: EvalParams) -> tuple[int, int, float | None]:
     """The per-exponent (N, M) search the array search replaced, kept as its reference.
 
-    (0, 0) stands for its refusal: no M gives an N within the ceiling.
+    Returns N, M and log K(M), with log K(M) =
+    log|s+2M+1| - log(sigma+2M+1) + log|B_2M+2| - log (2M+2)! + sum_j<2M+1 log|s+j|.
+    (0, 0, None) stands for its refusal: no M gives an N within the ceiling.
     """
     from apeuler.lseries import _EM_ORDER, _EM_TERMS, _MAX_TERMS, _log_abs_fraction
 
@@ -200,15 +198,19 @@ def _choose_em_scalar(s: complex, x: float, params: EvalParams) -> tuple[int, in
         need = math.ceil(math.exp(min(t, 50.0)) - x) + 1 if t > 0 else 1
         n = max(_EM_TERMS, need)
         if n <= _MAX_TERMS and (best is None or n < best[0]):
-            best = (n, m)
+            best = (n, m, log_k)
         if best is not None and best[0] <= 4 * _EM_TERMS:
             break
-    return best or (0, 0)
+    return best or (0, 0, None)
 
 
 def _search_matches_the_scalar_search(exps, x, params):
-    n, m = _choose_em(np.array(exps, dtype=complex), x, params)
-    assert list(zip(n.tolist(), m.tolist())) == [_choose_em_scalar(s, x, params) for s in exps]
+    n, m, log_k = _choose_em(np.array(exps, dtype=complex), x, params)
+    ref = [_choose_em_scalar(s, x, params) for s in exps]
+    assert list(zip(n.tolist(), m.tolist())) == [(nr, mr) for nr, mr, _ in ref]
+    for got, (_, _, want) in zip(log_k.tolist(), ref):
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-12)
 
 
 @given(
@@ -258,8 +260,7 @@ def test_batched_grid_raises_the_first_refusal_in_order(monkeypatch):
     kernel = lseries._hurwitz_em
 
     def planting(s, rs, q, n_terms, order):
-        values, bounds = kernel(s, rs, q, n_terms, order)
-        return np.where(s[:, None] == 60, np.nan, values), bounds
+        return np.where(s[:, None] == 60, np.nan, kernel(s, rs, q, n_terms, order))
 
     monkeypatch.setattr(lseries, "_hurwitz_em", planting)
     params = EvalParams(target_eps=1e-300)
@@ -318,6 +319,20 @@ def test_zeta_p_basic(ls6):
     assert abs(z.value - math.pi**2 / 6) <= z.bound + 1e-13
     z3 = ls6.zeta_p(2, 3)
     assert abs(z3.value - math.pi**2 / 8) <= z3.bound + 1e-13
+
+
+def test_zeta_p_refuses_a_bound_past_the_prime_table():
+    # a table to 100 lists no prime in [100, 1000): read as all of them, the
+    # factors below 1000 gave 1.0018203 with bound 7.2e-16, where
+    # prod_{p >= 1000} (1 - p^-2)^-1 is about 1.0001270
+    from apeuler import LSeries, sieve
+
+    ls = LSeries(sieve(100))
+    with pytest.raises(InvalidArgumentError, match=r"^prime table limit 100 too small for P=1000$"):
+        ls.zeta_p(2, 1000)
+    with pytest.raises(InvalidArgumentError, match=r"^prime table limit 100 too small for P=101$"):
+        ls.zeta_p(2, 101)
+    assert ls.zeta_p(2, 100).value == LSeries(sieve(1000)).zeta_p(2, 100).value
 
 
 def test_zeta_p_100_against_filtered_sum(ls6):
@@ -546,7 +561,8 @@ def test_hurwitz_kernel_runs_once_per_exponent(primes_1e6, monkeypatch):
 
     def check(q, exponents):
         # one call per (N, M) among the exponents; each residue vector computed once
-        groups = set(zip(*(c.tolist() for c in _choose_em(np.array(list(exponents)), 1 / q, EvalParams()))))
+        n, m, _ = _choose_em(np.array(list(exponents)), 1 / q, EvalParams())
+        groups = set(zip(n.tolist(), m.tolist()))
         assert sorted(nm for nm, _ in calls) == sorted(groups)
         seen = [e for _, rows in calls for e in rows]
         assert Counter(seen) == Counter(exponents)
