@@ -7,7 +7,8 @@ vectors are numbered alike, in mixed radix (``CharacterGroup.digits``): row i
 is the character whose exponents are i's digits, and ``logs[n]`` is the number
 of d(n), -1 off the units.  That O(q) array and the lambda(q) roots of unity
 are all a group stores; chi_i(n) is formed where it is read, exact in integers
-up to the root, and ``lseries._l_table`` sums every row at once by an FFT.
+up to the root.  ``lseries._l_table`` sums every row at once by an inverse FFT;
+``engine._y_residues`` weighs every row by conj chi(a) by the forward one.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ TABLE_MAX = 1 << 25
 
 @dataclass(frozen=True, eq=False)
 class CharacterGroup:
-    """The phi(q) Dirichlet characters mod q, held as the discrete logs of the residues mod q."""
+    """The phi(q) Dirichlet characters mod q, held as the discrete logs of the residues mod q, and y_p's counts."""
 
     modulus: int
     exponent: int  # lambda(q): every character value is a lambda-th root of unity, or 0
     slot_orders: tuple[int, ...]  # the orders of the generators of (Z/qZ)*
     logs: np.ndarray  # int64, length q: the number of residue n's generator exponents, -1 off the units
-    _unsieve: dict = field(default_factory=dict, repr=False)  # (a, L) -> unsieve_weights
+    _unsieve: dict = field(default_factory=dict, repr=False)  # L -> unsieve_counts(L)
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -72,30 +73,25 @@ class CharacterGroup:
         exps = d % self.exponent * self.digits(np.arange(len(self)))
         return exps % np.array(self.slot_orders, dtype=np.int64) @ _strides(self.slot_orders)
 
-    def unsieve_weights(self, a: int, depth: int) -> list[tuple[int, list[int], list[complex]]]:
-        """The Moebius-unsieving weights of y_p for residue a, one entry per depth ell <= L with a nonzero weight.
+    def unsieve_counts(self, depth: int) -> tuple[np.ndarray, ...]:
+        """y_p's Moebius-unsieving counts to depth L, for every residue; built once per L and kept.
 
-        Entry (ell, rows, weights): weights[j] = sum over d | ell and chi with
-        chi^d = row rows[j] of mu(d) conj chi(a), nonzero rows only.  They are
-        added in (d, chi) order so that cancelling weights come out exactly 0,
-        and a depth left with none (every ell > 1 at q = 1) is not listed.
-        Built once per (a, L) and kept for the life of the group.
+        c_ell(chi, psi) = sum of mu(d) over squarefree d | ell with chi^d = psi is an exact integer, so terms that
+        cancel leave no entry (none at ell > 1 if q = 1).  Returns the (ell, psi) read, ell ascending, as ``ells``
+        and ``rows``; ``starts[chi]``, where chi's nonzero c begin (c_1(chi, chi) = 1); and per nonzero c, by chi,
+        its (ell, psi)'s ``index`` and c / ell.
         """
-        key = (a % self.modulus, depth)
-        out = self._unsieve.get(key)
+        out = self._unsieve.get(depth)
         if out is None:
-            conj_a = np.append(self.roots, 0)[self.angles(np.arange(len(self)), [key[0]])[:, 0]].conj()  # 0 off the units
-            out = []
-            for ell in range(1, depth + 1):
-                weights = np.zeros(len(self), dtype=complex)
-                for d in divisors(ell):
-                    mu = mobius(d)
-                    if mu:
-                        np.add.at(weights, self.power_rows(d), mu * conj_a)
-                rows = np.flatnonzero(weights)
-                if len(rows):
-                    out.append((ell, rows.tolist(), weights[rows].tolist()))
-            self._unsieve[key] = out
+            phi, pairs = len(self), [(ell, d) for ell in range(1, depth + 1) for d in divisors(ell) if mobius(d)]
+            width = (depth + 1) * phi  # (chi, ell, chi^d) as chi width + ell phi + chi^d
+            keys, c = np.unique(np.concatenate([np.arange(phi) * width + ell * phi + self.power_rows(d)
+                                                for ell, d in pairs]), return_inverse=True)
+            c = np.bincount(c, np.repeat([mobius(d) for _, d in pairs], phi))  # each entry's key, then each key's count
+            chis, reads = np.divmod(keys[c != 0], width)
+            (reads, index), c = np.unique(reads, return_inverse=True), c[c != 0]
+            ells, rows = np.divmod(reads, phi)
+            out = self._unsieve[depth] = (ells, rows, np.searchsorted(chis, np.arange(phi)), index, c / ells[index])
         return out
 
     def __len__(self) -> int:

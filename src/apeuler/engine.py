@@ -20,7 +20,7 @@ multi-indices at once, from index arrays built once per plan shape; see
 An exponent whose tail past a prime cut X_j <= max(10^4, 16 P) is below
 rounding (large Re s_j) is summed directly over the primes up to X_j; all
 such terms of a plan, times their c_j, form one sum rounded once, with the
-tails and the rounding in its bound.  Every other exponent goes through y_p.
+tails and the rounding in its bound.  The rest go through y_p (one FFT for all a).
 One array call of ``_direct_cut`` routes every exponent of a plan; every
 refusal of the routed ones comes before the one batched Euler-Maclaurin pass
 that fills every L table their y_p calls read.
@@ -176,15 +176,25 @@ def _log_y_magnitude_majorant(
     return np.log(2 + depth * p_min / (sigma - 1)) - sigma * math.log(p_min)
 
 
+def _y_residues(s: complex, q: int, p_min: int, depth: int, ls: LSeries) -> tuple[np.ndarray, float]:
+    """y_p(s; q, a) of every residue a, at its discrete log ``logs[a]``, and the one bound (1/phi) sum |c/ell| b(psi).
+
+    y(a) = -(1/phi) sum_chi conj chi(a) H(chi), one forward FFT on the generator grid, with
+    H(chi) = sum (c/ell) log L_P(ell s, psi) over the unsieve counts c = c_ell(chi, psi).
+    At real s, y is real (H(conj chi) = conj H(chi)), so only its real part is kept.
+    """
+    grp = character_group(q)
+    ells, rows, starts, index, weights = grp.unsieve_counts(depth)
+    logs = [ls.log_truncated_l(ell * s, grp.characters[row], p_min) for ell, row in zip(ells.tolist(), rows.tolist())]
+    h = np.add.reduceat(weights * np.array([lt.value for lt in logs])[index], starts)
+    y = np.fft.fftn(h.reshape(grp.slot_orders)).reshape(-1) / -len(grp)
+    return y.real if s.imag == 0 else y, float(np.abs(weights) @ np.array([lt.bound for lt in logs])[index]) / len(grp)
+
+
 def y_p(
     s: complex, q: int, a: int, p_min: int, depth: int, ls: LSeries
 ) -> ValueWithBound:
-    """Truncated approximation to sum_{p >= P, p = a mod q} log(1 - p^-s).
-
-    Character decomposition with a Moebius unsieving over powers; the weights
-    attached to equal character powers are combined before any L-evaluation so
-    exact cancellations (notably all depths > 1 at q = 1) cost nothing.
-    """
+    """Truncated approximation to sum_{p >= P, p = a mod q} log(1 - p^-s): entry ``logs[a]`` of ``_y_residues``."""
     s = complex(s)
     if s.real <= 1:
         raise OutOfDomainError("y_p requires Re s > 1")
@@ -192,16 +202,8 @@ def y_p(
         raise InvalidArgumentError("residue a must be invertible mod q")
     if p_min < 2 or depth < 2:
         raise InvalidArgumentError("P >= 2 and L >= 2 required")
-    grp = character_group(q)
-    phi = len(grp)
-    total = 0j
-    bound = 0.0
-    for ell, rows, weights in grp.unsieve_weights(a, depth):
-        for row, w in zip(rows, weights):
-            lt = ls.log_truncated_l(ell * s, grp.characters[row], p_min)
-            total += w * lt.value / (ell * phi)
-            bound += abs(w) * lt.bound / (ell * phi)
-    return ValueWithBound(-total, bound)
+    y, bound = _y_residues(s, q, p_min, depth, ls)
+    return ValueWithBound(complex(y[character_group(q).logs[a % q]]), bound)
 
 
 def _direct_cut(sigma: np.ndarray, p_min: int, limit: int) -> np.ndarray:
@@ -279,7 +281,7 @@ def _execute(
     ``LSeries._check_branch``, so the first it refuses (Re s_j <= 1, P past
     the prime table, or Re s_j too close to 1 for P), in plan order, is
     raised before any Hurwitz work.  Then every ell * s_j the y_p calls
-    evaluate (ell a depth with nonzero unsieve weights) goes to
+    evaluate (ell a depth with a nonzero unsieve count) goes to
     ``LSeries.fill_l_tables`` in one call, after the ``front`` exponents (Re s
     > 1) whose L tables mod q the caller reads afterwards, so every L(s, chi)
     they read comes from one batched Euler-Maclaurin pass.  Then the y_p
@@ -290,7 +292,7 @@ def _execute(
     total bound by more than u is refused with PrecisionUnreachableError: its
     coefficients amplify rounding past anything its bound shows.  The one u
     let through is the floor of a plain one-term plan, which belongs to y_p:
-    its L - 1 sums and FFTs round outside every bound.
+    its L - 1 sums, the L tables' FFTs and y's FFT round outside every bound.
     """
     exps = _held(np.array(list(plan), dtype=complex))
     coeffs = np.array(list(plan.values()), dtype=complex)
@@ -300,7 +302,7 @@ def _execute(
     routed = exps[~direct].tolist()
     for s in routed:
         ls._check_branch(s.real, p_min)
-    ells = [ell for ell, _, _ in character_group(q).unsieve_weights(a, depth)] if routed else []
+    ells = sorted(set(character_group(q).unsieve_counts(depth)[0].tolist())) if routed else []
     ls.fill_l_tables([*front, *(ell * s for s in routed for ell in ells)], q)
     total, bound = 0j, fixed
     for s, c in zip(routed, coeffs[~direct].tolist()):

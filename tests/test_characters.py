@@ -181,14 +181,15 @@ def test_digits_number_rows_in_mixed_radix(q, orders):
     assert (exps @ characters._strides(orders)).tolist() == list(range(math.prod(orders)))
 
 
-def test_unsieve_weights_form_one_power_row_at_a_time():
+def test_unsieve_counts_form_one_power_row_at_a_time():
     # forming all lambda powers at once would take 8 lambda = 16 KB per row here, and
-    # as much again for its temporary; built past the cache, so the group is freed
+    # as much again for its temporary, and a dense phi x phi count matrix 16 KB per
+    # row; built past the cache, so the group is freed
     grp = character_group.__wrapped__(2003)
     grp.roots
     tracemalloc.start()
     try:
-        grp.unsieve_weights(2, 10)
+        grp.unsieve_counts(10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -21,12 +21,14 @@ from apeuler import (
     y_p,
 )
 from apeuler import PrecisionUnreachableError, character_group, engine
+from apeuler.arith import divisors, factorize, mobius
 from apeuler.engine import (
     _demo_tail_majorant,
     _execute,
     _kappa_tail,
     _log_y_magnitude_majorant,
     _necklace_plan,
+    _y_residues,
 )
 from apeuler.witt import kappa, multi_indices, necklace_m
 
@@ -43,7 +45,7 @@ def test_y_p_zeta_inverse(ls6, primes_1e6):
     # and the closed form: sum log(1 - p^-2) = -log zeta(2)
     assert abs(y.value - math.log(6 / math.pi**2)) <= y.bound + 2**-20
     # at q = 1 every depth ell > 1 cancels, so only ell = 1 is listed
-    assert [ell for ell, _, _ in character_group(1).unsieve_weights(1, 10)] == [1]
+    assert [arr.tolist() for arr in character_group(1).unsieve_counts(10)] == [[1], [0], [0], [0], [1.0]]
 
 
 @pytest.mark.parametrize("q,a", [(4, 1), (4, 3), (5, 2)])
@@ -63,6 +65,34 @@ def test_y_p_residue_classes_sum_to_full_product(ls6):
     tol = whole.bound + sum(p.bound for p in parts)
     tol += 2 * p_min ** (-depth * s.real)  # truncation depth mismatch headroom
     assert abs(sum(p.value for p in parts) - whole.value) <= tol + 1e-14
+
+
+@pytest.mark.parametrize("q", [30, 101, 1008, 1009])  # 1008: the four-axis grid (2, 4, 6, 6)
+def test_every_residue_from_one_fft(ls6, q):
+    grp = character_group(q)
+    phi, depth = len(grp), 10
+    units = np.flatnonzero(grp.logs >= 0)
+    conj = np.append(grp.roots, 0)[grp.angles(np.arange(phi), units)].conj()  # chi by a: conj chi(a)
+    for s in (2 + 0j, 1.5 + 3j):
+        for p_min in (2, 7):
+            y, bound = _y_residues(s, q, p_min, depth, ls6)
+            # summed over a only chi_0 is left, and sum_{d | ell} mu(d) = [ell = 1]: -log L_P(s, chi_0)
+            zeta = ls6.zeta_p(s, p_min).log()
+            removed = sum(cmath.log(1 - p**-s) for p, _ in factorize(q) if p >= p_min)
+            assert abs(y.sum() + zeta.value + removed) <= phi * bound + zeta.bound
+            # y(a) = -(1/phi) sum_chi conj chi(a) sum_ell (1/ell) sum_{d | ell} mu(d) log L_P(ell s, chi^d)
+            h = np.zeros(phi, dtype=complex)
+            for ell in range(1, depth + 1):
+                logs = np.array([ls6.log_truncated_l(ell * s, chi, p_min).value for chi in grp.characters])
+                for d in divisors(ell):
+                    if mobius(d):
+                        h += mobius(d) / ell * logs[grp.power_rows(d)]
+            # both sides round: the FFT by about log2(phi) u sum |h| / phi per entry
+            tol = 8 * math.log2(2 * phi) * 2.0**-53 * np.abs(h).sum() / phi
+            assert np.abs(y[grp.logs[units]] + h @ conj / phi).max() <= tol
+            a = int(units[-1])
+            got = y_p(s, q, a, p_min, depth, ls6)
+            assert (got.value, got.bound) == (y[grp.logs[a]], bound)
 
 
 def test_y_p_validation():
@@ -126,6 +156,16 @@ def test_real_s_gives_an_exactly_real_result(ls6, product, spec):
     # the tables hold exactly, so no rounding is left in the imaginary part
     res = product(spec, ls6)
     assert res.log_value.imag == 0 and res.value.imag == 0
+
+
+@pytest.mark.parametrize("q", [8, 30, 101])
+def test_real_s_gives_an_exactly_real_result_at_every_residue(ls6, q):
+    # y is real at real s, but the FFT over the characters can leave rounding in
+    # its imaginary part (it does at q = 101, whose characters take 100th roots of 1)
+    for a in range(1, q):
+        if math.gcd(a, q) == 1:
+            res = ap_product(APProductSpec(s=2 + 0j, q=q, a=a, p_min=2, depth=10), ls6)
+            assert res.log_value.imag == 0 and res.value.imag == 0
 
 
 def test_rational_product_cubic_over_linear(ls6, primes_1e6):
@@ -496,7 +536,7 @@ def test_small_prime_table_falls_back_to_y_p(ls6, monkeypatch):
         assert abs(v_small - v_big) <= b_small + b_big
 
 
-def test_y_p_weight_table_built_once_per_residue_and_depth(ls6, monkeypatch):
+def test_y_p_count_table_built_once_per_modulus_and_depth(ls6, monkeypatch):
     from apeuler import characters
 
     character_group(7)._unsieve.clear()
@@ -506,9 +546,14 @@ def test_y_p_weight_table_built_once_per_residue_and_depth(ls6, monkeypatch):
     first = y_p(2 + 0j, 7, 3, 5, 9, ls6)
     assert built
     built.clear()
-    y_p(3 + 0j, 7, 3, 5, 9, ls6)
+    # every residue and exponent at the same (q, L) reads the one table
+    for a in range(1, 7):
+        y_p(3 + 0j, 7, a, 5, 9, ls6)
     assert built == []
+    assert list(character_group(7)._unsieve) == [9]
     assert y_p(2 + 0j, 7, 3, 5, 9, ls6) == first
+    y_p(2 + 0j, 7, 3, 5, 8, ls6)
+    assert built
 
 
 @pytest.mark.parametrize(
