@@ -14,8 +14,8 @@ plus ``continuation_demo`` which rebuilds prod_p (1 + p^-s - p^-(2s-1)) from
 its necklace factorization and three zeta front factors.
 
 Necklace plans (multi and the demo) are compiled in array passes over all
-multi-indices at once, from index arrays built once per plan shape; see
-``_necklace_plan``.
+multi-indices at once, read from one index array per (k, L); see
+``_necklace_shape`` and ``_necklace_plan``.
 
 An exponent whose tail past a prime cut X_j <= max(10^4, 16 P) is below
 rounding (large Re s_j) is summed directly over the primes up to X_j; all
@@ -54,9 +54,21 @@ from .witt import (
 _U = 2.0**-53
 # Largest prime cut X_j summed directly at any P; past it, only up to 16 P.
 _DIRECT_CAP = 10**4
-# Necklace plan shape -> (multi-indices, M(m)); at most _NECKLACE_ROWS_MAX rows in all.
-_NECKLACE_SHAPES: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+# (k, L) -> (multi-indices, M(m)); at most _NECKLACE_ROWS_MAX rows in all.
+_NECKLACE_SHAPES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 _NECKLACE_ROWS_MAX = 1 << 16
+
+
+def _check_progression(q: int, a: int, p_min: int, depth: int) -> None:
+    """Refuse a modulus q < 1, a residue a not invertible mod q, P < 2 or L < 2."""
+    if q < 1:
+        raise InvalidArgumentError("modulus q must be >= 1")
+    if math.gcd(a, q) != 1:
+        raise InvalidArgumentError("residue a must be invertible mod q")
+    if p_min < 2:
+        raise InvalidArgumentError("P must be >= 2")
+    if depth < 2:
+        raise InvalidArgumentError("L must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -68,16 +80,10 @@ class APProductSpec:
     depth: int = 10  # the truncation depth L
 
     def validate(self) -> None:
+        """Refuse Re s <= 1, then ``_check_progression``."""
         if complex(self.s).real <= 1:
             raise InvalidArgumentError("product requires Re s > 1")
-        if self.q < 1:
-            raise InvalidArgumentError("modulus q must be >= 1")
-        if math.gcd(self.a, self.q) != 1:
-            raise InvalidArgumentError("residue a must be invertible mod q")
-        if self.p_min < 2:
-            raise InvalidArgumentError("P must be >= 2")
-        if self.depth < 2:
-            raise InvalidArgumentError("L must be >= 2")
+        _check_progression(self.q, self.a, self.p_min, self.depth)
 
 
 @dataclass(frozen=True)
@@ -93,14 +99,12 @@ class RationalProductSpec:
         return max(beta_bound(self.g), beta_bound(self.g - self.f))
 
     def validate(self) -> None:
+        """Refuse G(0) != 1, F(0) != 0 or F'(0) != 0, then ``_check_progression``, then P < 2 beta."""
         if self.g.coeff(0) != 1:
             raise InvalidArgumentError("rational product requires G(0) = 1")
         if self.f.coeff(0) != 0 or self.f.coeff(1) != 0:
             raise InvalidArgumentError("rational product requires F(0) = F'(0) = 0")
-        if self.q < 1 or math.gcd(self.a, self.q) != 1:
-            raise InvalidArgumentError("residue a must be invertible mod q")
-        if self.depth < 2:
-            raise InvalidArgumentError("L must be >= 2")
+        _check_progression(self.q, self.a, self.p_min, self.depth)
         if self.p_min < 2 * self.beta():
             raise InvalidArgumentError(
                 f"P must be >= 2*beta = {2 * self.beta():g} for this F, G"
@@ -126,15 +130,15 @@ class MultiTermSpec:
         return max(1.0, max(abs(al) for al, _, _ in self.terms))
 
     def validate(self) -> None:
+        """Refuse Re s <= 1 or no terms, then ``_check_progression``, L < k, P < 2kA and any u_l Re s + v_l <= 1."""
         s = complex(self.s)
         if s.real <= 1:
             raise InvalidArgumentError("product requires Re s > 1")
         if not self.terms:
             raise InvalidArgumentError("at least one term is required")
-        if self.q < 1 or math.gcd(self.a, self.q) != 1:
-            raise InvalidArgumentError("residue a must be invertible mod q")
-        if self.depth < max(2, self.k):
-            raise InvalidArgumentError("L must be >= max(2, k)")
+        _check_progression(self.q, self.a, self.p_min, self.depth)
+        if self.depth < self.k:
+            raise InvalidArgumentError("L must be >= k")
         if self.p_min < 2 * self.k * self.coeff_cap:
             raise InvalidArgumentError(
                 f"P must be >= 2kA = {2 * self.k * self.coeff_cap:g}"
@@ -194,14 +198,14 @@ def _y_residues(s: complex, q: int, p_min: int, depth: int, ls: LSeries) -> tupl
 def y_p(
     s: complex, q: int, a: int, p_min: int, depth: int, ls: LSeries
 ) -> ValueWithBound:
-    """Truncated approximation to sum_{p >= P, p = a mod q} log(1 - p^-s): entry ``logs[a]`` of ``_y_residues``."""
+    """Truncated approximation to sum_{p >= P, p = a mod q} log(1 - p^-s): entry ``logs[a]`` of ``_y_residues``.
+
+    Refuses Re s <= 1 with OutOfDomainError, then ``_check_progression``.
+    """
     s = complex(s)
     if s.real <= 1:
         raise OutOfDomainError("y_p requires Re s > 1")
-    if math.gcd(a, q) != 1:
-        raise InvalidArgumentError("residue a must be invertible mod q")
-    if p_min < 2 or depth < 2:
-        raise InvalidArgumentError("P >= 2 and L >= 2 required")
+    _check_progression(q, a, p_min, depth)
     y, bound = _y_residues(s, q, p_min, depth, ls)
     return ValueWithBound(complex(y[character_group(q).logs[a % q]]), bound)
 
@@ -363,45 +367,36 @@ def _kappa_tail(
     )
 
 
-def _necklace_shape(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The multi-indices of a necklace plan shape as one int array, and M(m) per row as floats.
+def _necklace_shape(k: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every m in Z_{>=0}^k with 1 <= |m| <= L (``multi_indices``) as one int array, and M(m) per row as floats.
 
-    ``("multi", k, L)`` holds every m in Z_{>=0}^k with 1 <= |m| <= L in
-    lexicographic order; ``("demo", n_max)`` every (m1, m2) with m1, m2 >= 1
-    and m1 + 2 m2 <= n_max.  Compiled once per shape (one exact M(m) per
-    index) and cached read-only.  The cache holds at most _NECKLACE_ROWS_MAX
-    rows in all: it is emptied when the next shape would pass that, and a
-    larger shape is compiled for its caller alone.
+    The one index set of every necklace plan: ``multi`` reads all of (k, L),
+    the demo the rows of (2, n_max) it keeps.  Compiled once per (k, L) (one
+    exact M(m) per index) and cached read-only.  The cache holds at most
+    _NECKLACE_ROWS_MAX rows in all: it is emptied when the next shape would
+    pass that, and a larger shape is compiled for its caller alone.
     """
-    out = _NECKLACE_SHAPES.get(shape)
+    out = _NECKLACE_SHAPES.get((k, depth))
     if out is not None:
         return out
-    if shape[0] == "multi":
-        width, indices = shape[1], multi_indices(*shape[1:])
-    else:
-        n_max = shape[1]
-        width = 2
-        indices = (
-            (m1, m2) for m1 in range(1, n_max - 1) for m2 in range(1, (n_max - m1) // 2 + 1)
-        )
     flat, mm = [], []  # streamed: no list of index tuples is held
-    for m in indices:
+    for m in multi_indices(k, depth):
         flat += m
         mm.append(necklace_m(m))
-    out = (np.array(flat, dtype=np.int64).reshape(len(mm), width), np.array(mm, dtype=float))
+    out = (np.array(flat, dtype=np.int64).reshape(len(mm), k), np.array(mm, dtype=float))
     for arr in out:
         arr.flags.writeable = False
     if len(mm) <= _NECKLACE_ROWS_MAX:
         if sum(len(held) for _, held in _NECKLACE_SHAPES.values()) + len(mm) > _NECKLACE_ROWS_MAX:
             _NECKLACE_SHAPES.clear()
-        _NECKLACE_SHAPES[shape] = out
+        _NECKLACE_SHAPES[k, depth] = out
     return out
 
 
 def _necklace_plan(
-    terms: tuple, s: complex, shape: tuple, p_min: int, depth: int
+    terms: tuple, s: complex, idx: np.ndarray, mm: np.ndarray, p_min: int, depth: int
 ) -> tuple[dict[complex, complex], float]:
-    """Term plan of sum_m M(m) log(1 - c_m p^-w_m) over the multi-indices m of ``shape``.
+    """Term plan of sum_m M(m) log(1 - c_m p^-w_m) over the index rows m of ``idx``, with M(m) in ``mm``.
 
     c_m = prod_l a_l^m_l and w_m = sum_l m_l (u_l s + v_l).  s is held first
     (``_held``) at 1e300 / max(1, |u_l|), so every u_l s is finite and Im w_m
@@ -414,24 +409,27 @@ def _necklace_plan(
     Refused first, in log space, if those coefficients summed could pass the
     doubles, from log max(1, |c_m|) <= sum_l m_l log max(1, |a_l|) over M(m) != 0.
 
-    Compiled in array passes: the indices and their M(m) are read from
-    ``_necklace_shape``, c_m, w_m and the kappa tails are array expressions
-    over them, and kappa_f runs once per f over every c_m.  The exponents
-    f w_m are merged into the plan one f at a time, so equal exponents share
-    one entry.
+    Compiled in array passes over rows read from ``_necklace_shape``: c_m,
+    w_m and the kappa tails are array expressions over them, and kappa_f runs
+    once per f over every c_m.  When every a_l is real, c_m and kappa_f are
+    formed in floats: numpy takes a complex power past exponent 100 through
+    exp and log, which would leave an imaginary part at real s.  The
+    exponents f w_m are merged into the plan one f at a time, so equal
+    exponents share one entry.
     """
-    idx, mm = _necklace_shape(shape)
+    coeffs = np.array([al for al, _, _ in terms], dtype=complex)  # an integer a_l must not wrap in int64
+    coeffs = coeffs if coeffs.imag.any() else coeffs.real
     # |M(m) kappa_f(c_m) / f| <= M(m) max(1, |c_m|)^L for f <= L, and at most L len(mm) of them merge
-    log_caps = np.log(np.maximum(1.0, np.abs([al for al, _, _ in terms])))
+    log_caps = np.log(np.maximum(1.0, np.abs(coeffs)))
     log_top = depth * float(np.where(mm != 0, idx @ log_caps, 0).max()) + math.log(depth * len(mm) * mm.max())
     if log_top >= math.log(np.finfo(float).max):
         raise PrecisionUnreachableError(f"plan coefficients reach about 1e{log_top / math.log(10):.0f}, past the doubles")
-    c = np.ones(len(mm), dtype=complex)
+    c = np.ones(len(mm), dtype=coeffs.dtype)
     w = np.zeros(len(mm), dtype=complex)
     s = complex(_held(np.array([s]), 1e300 / max(1.0, *(abs(u) for _, u, _ in terms)))[0])
     es = _held(np.array([u * s + v for _, u, v in terms], dtype=complex)).tolist()
-    for (al, _, _), e, ml in zip(terms, es, idx.T):
-        c *= complex(al) ** ml  # complex: an integer a_l must not wrap in int64
+    for al, e, ml in zip(coeffs, es, idx.T):
+        c *= al**ml
         w += ml * e
     live = (mm != 0) & (c != 0)
     mm, c, w = mm[live], c[live], w[live]
@@ -457,7 +455,7 @@ def multi_term_product(spec: MultiTermSpec, ls: LSeries) -> ProductResult:
     k = spec.k
     cap = spec.coeff_cap
     depth = spec.depth
-    plan, fixed = _necklace_plan(spec.terms, s, ("multi", k, depth), spec.p_min, depth)
+    plan, fixed = _necklace_plan(spec.terms, s, *_necklace_shape(k, depth), spec.p_min, depth)
     structural = (  # A/P <= 1/(2k), so (A/P)^L cannot overflow
         2**k / math.factorial(k) * (cap / spec.p_min) ** depth
         * ((depth + k) ** k + 1 + math.log(depth) + 3 * k * cap / depth)
@@ -492,18 +490,21 @@ def continuation_demo(
 
     The (1,0) and (0,1) indices contribute prod (1 + p^-s) = zeta(s)/zeta(2s)
     and prod (1 - p^-(2s-1)) = 1/zeta(2s-1), absorbed as closed-form front
-    factors; the remaining double product runs over m1, m2 >= 1 with
-    m1 + 2*m2 <= n_max.  All three zeta arguments must have real part > 1,
-    which confines the demo to Re s > 1.
+    factors; the remaining double product runs over the rows m1, m2 >= 1 with
+    m1 + 2*m2 <= n_max of the (2, n_max) necklace shape, and
+    ``_demo_tail_majorant`` bounds the rows with m1 + 2*m2 > n_max (the rest
+    have M(m) = 0).  All three zeta arguments must have real part > 1, which
+    confines the demo to Re s > 1.
     """
     s = complex(s)
     if (2 * s - 1).real <= 1:  # then 2s and s have real part > 1 too
         raise OutOfDomainError("zeta argument 2s-1 has real part <= 1")
     if n_max < 3:
         raise InvalidArgumentError("n_max must be >= 3")
-    if depth < 2:
-        raise InvalidArgumentError("L must be >= 2")
-    plan, fixed = _necklace_plan(_DEMO_TERMS, s, ("demo", n_max), 2, depth)
+    _check_progression(1, 1, 2, depth)
+    idx, mm = _necklace_shape(2, n_max)
+    kept = (idx.min(axis=1) >= 1) & (idx @ (1, 2) <= n_max)
+    plan, fixed = _necklace_plan(_DEMO_TERMS, s, idx[kept], mm[kept], 2, depth)
     exps = np.array(list(plan), dtype=complex)
     fixed += float(np.abs(list(plan.values())) @ 2.0 ** (-depth * exps.real))  # P^(-L Re s_j)
     # the three front factors join the plan's Hurwitz pass, ahead of its exponents

@@ -28,6 +28,7 @@ from apeuler.engine import (
     _kappa_tail,
     _log_y_magnitude_majorant,
     _necklace_plan,
+    _necklace_shape,
     _y_residues,
 )
 from apeuler.witt import kappa, multi_indices, necklace_m
@@ -144,16 +145,26 @@ def test_rational_product_double_square(ls6, primes_1e6):
     assert abs(res.log_value - orc.log_value) <= res.total_bound + orc.tail_bound
 
 
+def _demo_product(depth, ls):
+    # the demo returns its value alone; its log is exactly real where the value is
+    res = continuation_demo(3 + 0j, 30, ls, depth=depth)
+    return engine.ProductResult(cmath.log(res.value), res.bound)
+
+
 @pytest.mark.parametrize(
     "product,spec",
     [(ap_product, APProductSpec(s=2 + 0j, q=q, a=a, p_min=p_min, depth=10))
      for q, a, p_min in [(4, 1, 5), (8, 3, 2), (3, 2, 2), (12, 5, 7), (5, 2, 2), (24, 7, 2), (30, 7, 2)]]
     + [(rational_product, RationalProductSpec(
-        f=Polynomial.of([0, 0, 0, 1]), g=Polynomial.of([1, 1]), q=4, a=3, p_min=5, depth=10))],
+        f=Polynomial.of([0, 0, 0, 1]), g=Polynomial.of([1, 1]), q=4, a=3, p_min=5, depth=10))]
+    + [(multi_term_product, MultiTermSpec(terms=((-0.4 + 0j, 1.0, 0.0),), s=3 + 0j, p_min=2, depth=depth))
+       for depth in (100, 150)]
+    + [(_demo_product, 101)],
 )
 def test_real_s_gives_an_exactly_real_result(ls6, product, spec):
     # every character mod these q takes only the values +-1 and +-i, which
-    # the tables hold exactly, so no rounding is left in the imaginary part
+    # the tables hold exactly, so no rounding is left in the imaginary part;
+    # real-coefficient necklace plans past L = 100 keep c_m and kappa_f real
     res = product(spec, ls6)
     assert res.log_value.imag == 0 and res.value.imag == 0
 
@@ -251,7 +262,7 @@ def test_multi_term_spec_validation():
 def test_single_factor_log_plus_sign(ls6, primes_1e6):
     # sum log(1 + p^-s) against the direct sum
     s = 2.5 + 0j
-    plan, fixed = _necklace_plan(((-1 + 0j, 1.0, 0.0),), s, ("multi", 1, 1), 2, 10)
+    plan, fixed = _necklace_plan(((-1 + 0j, 1.0, 0.0),), s, *_necklace_shape(1, 1), 2, 10)
     fixed += sum(abs(c) * 2.0 ** (-10 * e.real) for e, c in plan.items())
     res = _execute(plan, fixed, 1, 1, 2, 10, ls6)
     ps = primes_1e6.primes.astype(float)
@@ -635,6 +646,13 @@ def _demo_indices(n_max):
     return [(m1, m2) for m1 in range(1, n_max - 1) for m2 in range(1, (n_max - m1) // 2 + 1)]
 
 
+def _demo_rows(n_max):
+    # the rows of the (2, n_max) shape that continuation_demo keeps
+    idx, mm = _necklace_shape(2, n_max)
+    kept = (idx.min(axis=1) >= 1) & (idx @ (1, 2) <= n_max)
+    return idx[kept], mm[kept]
+
+
 def _multi_terms(k):
     # the phased coefficients and exponents u s + v of the benchmark's multi jobs
     coeffs = (cmath.rect(0.9, 0.7), cmath.rect(0.6, 2.9), cmath.rect(0.4, 4.4))
@@ -652,13 +670,13 @@ def _assert_same_plan(new, ref):
 @pytest.mark.parametrize("n_max", [30, 60])
 @pytest.mark.parametrize("s", [2 + 0j, 1.5 + 2j])
 def test_necklace_plan_matches_the_per_index_loop_demo(s, n_max):
-    new = _necklace_plan(engine._DEMO_TERMS, s, ("demo", n_max), 2, 10)
+    new = _necklace_plan(engine._DEMO_TERMS, s, *_demo_rows(n_max), 2, 10)
     _assert_same_plan(new, _reference_necklace_plan(engine._DEMO_TERMS, s, _demo_indices(n_max), 2, 10))
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_necklace_plan_matches_the_per_index_loop_multi(ls6, k):
-    new = _necklace_plan(_multi_terms(k), 2 + 0j, ("multi", k, 8), 7, 8)
+    new = _necklace_plan(_multi_terms(k), 2 + 0j, *_necklace_shape(k, 8), 7, 8)
     ref = _reference_necklace_plan(_multi_terms(k), 2 + 0j, list(multi_indices(k, 8)), 7, 8)
     _assert_same_plan(new, ref)
     a, b = (_execute(plan, fixed, 5, 2, 7, 8, ls6) for plan, fixed in (new, ref))
@@ -670,7 +688,7 @@ def test_necklace_plan_at_a_huge_im_s_merges_only_the_exponents_the_true_s_merge
     # u s + v held term by term merged s + 2 with 2 s at s = 2 + 1e301 i, and their
     # coefficients cancelled; held once, s keeps the true plan's exponent partition
     terms = ((1 + 0j, 1.0, 2.0), (-1 + 0j, 2.0, 0.0))
-    plan, _ = _necklace_plan(terms, s, ("multi", 2, 8), 5, 8)
+    plan, _ = _necklace_plan(terms, s, *_necklace_shape(2, 8), 5, 8)
     ref, _ = _reference_necklace_plan(terms, s, list(multi_indices(2, 8)), 5, 8)
     assert all(cmath.isfinite(e) for e in plan)
     assert len(plan) == len(ref)
@@ -684,11 +702,11 @@ def test_necklace_plan_runs_kappa_once_per_f_and_m_once_per_index(monkeypatch):
     monkeypatch.setattr(engine, "_NECKLACE_SHAPES", {})
     for s in (1.5 + 2j, 2 + 0j):
         calls.clear()
-        _necklace_plan(engine._DEMO_TERMS, s, ("demo", 60), 2, 10)
+        _necklace_plan(engine._DEMO_TERMS, s, *_demo_rows(60), 2, 10)
         assert calls == list(range(1, 11))  # 20 per compile with kappa per distinct c_m
     # the shape is compiled once: one exact M(m) per index, none for the second plan
-    assert exact == _demo_indices(60)
-    idx, mm = engine._NECKLACE_SHAPES[("demo", 60)]
+    assert exact == list(multi_indices(2, 60))
+    idx, mm = engine._NECKLACE_SHAPES[2, 60]
     assert idx.tolist() == [list(m) for m in exact]
     assert mm.tolist() == [necklace_m(m) for m in exact]
 
@@ -696,13 +714,13 @@ def test_necklace_plan_runs_kappa_once_per_f_and_m_once_per_index(monkeypatch):
 def test_necklace_shape_cache_is_emptied_when_full(monkeypatch):
     monkeypatch.setattr(engine, "_NECKLACE_SHAPES", {})
     monkeypatch.setattr(engine, "_NECKLACE_ROWS_MAX", 10)
-    engine._necklace_shape(("multi", 2, 2))  # 5 rows
-    engine._necklace_shape(("multi", 1, 4))  # 4 rows
-    assert list(engine._NECKLACE_SHAPES) == [("multi", 2, 2), ("multi", 1, 4)]
-    engine._necklace_shape(("multi", 3, 1))  # 3 more would make 12
-    assert list(engine._NECKLACE_SHAPES) == [("multi", 3, 1)]
-    idx, mm = engine._necklace_shape(("demo", 8))  # 12 rows: compiled, not kept
-    assert len(mm) == 12 and list(engine._NECKLACE_SHAPES) == [("multi", 3, 1)]
+    _necklace_shape(2, 2)  # 5 rows
+    _necklace_shape(1, 4)  # 4 rows
+    assert list(engine._NECKLACE_SHAPES) == [(2, 2), (1, 4)]
+    _necklace_shape(3, 1)  # 3 more would make 12
+    assert list(engine._NECKLACE_SHAPES) == [(3, 1)]
+    idx, mm = _necklace_shape(1, 12)  # 12 rows: compiled, not kept
+    assert len(mm) == 12 and list(engine._NECKLACE_SHAPES) == [(3, 1)]
     assert not idx.flags.writeable and not mm.flags.writeable
 
 

@@ -4,7 +4,8 @@ For q = 1 the prime zeta function P(s) = sum_p p^-s gives closed forms:
 sum_p log(1 - p^-s) = -sum_k P(ks)/k.  For progressions the reference is the
 prime-by-prime sum of log1p(-p^-s) at 40 digits, for ``demo`` at large Re s
 the prime product itself at 40 digits, and for the L layer's rows L - 1
-``mpmath.dirichlet`` - 1 at 30 digits.  The twin-prime and Artin constants
+``mpmath.dirichlet`` - 1 at 30 digits, and at large Im s ``hurwitz_zeta(s, 1)``
+against ``mpmath.zeta`` at 30 digits.  The twin-prime and Artin constants
 come from ``mpmath.twinprime`` and ``mpmath.primezeta``, and ``ap`` at q = 4
 from a doubling identity in ``mpmath.zeta`` and ``mpmath.dirichlet``.
 """
@@ -19,6 +20,7 @@ import pytest
 from apeuler import (
     APProductSpec,
     EvalParams,
+    OutOfDomainError,
     Polynomial,
     PrecisionUnreachableError,
     RationalProductSpec,
@@ -26,6 +28,7 @@ from apeuler import (
     character_group,
     continuation_demo,
     engine,
+    hurwitz_zeta,
     rational_product,
 )
 from apeuler.lseries import _l_table
@@ -99,6 +102,26 @@ def test_l_table_rows_are_l_minus_one_to_working_precision(q, s):
         for chi, row in zip(group.characters, rows):
             ref = mpmath.dirichlet(mpmath.mpc(s), [chi(n) for n in range(q)]) - 1
             assert float(abs(mpmath.mpc(row) - ref) / abs(ref)) <= 1e-14
+
+
+# Im s large: the Euler-Maclaurin order M grows with |s|, and the kernel's
+# rounding (error past the bound from |Im s| near 200) and its Pochhammer
+# (s)_{2M-1}, which overflows from |Im s| near 400, are outside the bound
+LARGE_IM_S = [2 + 50j, 2 + 100j] + [
+    pytest.param(s, marks=pytest.mark.xfail(strict=True, raises=raises, reason=f"{why} (ROADMAP item 1, defect (a))"))
+    for s, raises, why in [
+        (1.5 + 350j, AssertionError, "the kernel's rounding is outside its bound"),
+        (2 + 1000j, OutOfDomainError, "(s)_{2M-1} overflows, so the kernel refuses a non-finite value"),
+    ]
+]
+
+
+@pytest.mark.parametrize("s", LARGE_IM_S)
+def test_hurwitz_zeta_at_large_im_s_within_bound_of_mpmath(s):
+    res = hurwitz_zeta(s, 1.0)
+    with mpmath.workdps(30):
+        error = float(abs(mpmath.mpc(res.value) - mpmath.zeta(mpmath.mpc(s))))
+    assert error <= res.bound
 
 
 # s where the demo bound used to sit below the rounding of its own value
