@@ -8,7 +8,7 @@ is the character whose exponents are i's digits, and ``logs[n]`` is the number
 of d(n), -1 off the units.  That O(q) array and the lambda(q) roots of unity
 are all a group stores; chi_i(n) is formed where it is read, exact in integers
 up to the root.  ``lseries._l_table`` sums every row at once by an inverse FFT;
-``engine._y_residues`` weighs every row by conj chi(a) by the forward one.
+``LSeries.y_residues`` weighs every row by conj chi(a) by the forward one.
 """
 
 from __future__ import annotations

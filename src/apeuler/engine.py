@@ -20,7 +20,9 @@ multi-indices at once, read from one index array per (k, L); see
 An exponent whose tail past a prime cut X_j <= max(10^4, 16 P) is below
 rounding (large Re s_j) is summed directly over the primes up to X_j; all
 such terms of a plan, times their c_j, form one sum rounded once, with the
-tails and the rounding in its bound.  The rest go through y_p (one FFT for all a).
+tails and the rounding in its bound.  The rest go through y_p, which reads
+entry a of ``LSeries.y_residues``: every residue's value from one FFT, kept
+per (s, q, P, L), so a residue sweep on one LSeries forms each table once.
 One array call of ``_direct_cut`` routes every exponent of a plan; every
 refusal of the routed ones comes before the one batched Euler-Maclaurin pass
 that fills every L table their y_p calls read.
@@ -180,33 +182,20 @@ def _log_y_magnitude_majorant(
     return np.log(2 + depth * p_min / (sigma - 1)) - sigma * math.log(p_min)
 
 
-def _y_residues(s: complex, q: int, p_min: int, depth: int, ls: LSeries) -> tuple[np.ndarray, float]:
-    """y_p(s; q, a) of every residue a, at its discrete log ``logs[a]``, and the one bound (1/phi) sum |c/ell| b(psi).
-
-    y(a) = -(1/phi) sum_chi conj chi(a) H(chi), one forward FFT on the generator grid, with
-    H(chi) = sum (c/ell) log L_P(ell s, psi) over the unsieve counts c = c_ell(chi, psi).
-    At real s, y is real (H(conj chi) = conj H(chi)), so only its real part is kept.
-    """
-    grp = character_group(q)
-    ells, rows, starts, index, weights = grp.unsieve_counts(depth)
-    logs = [ls.log_truncated_l(ell * s, grp.characters[row], p_min) for ell, row in zip(ells.tolist(), rows.tolist())]
-    h = np.add.reduceat(weights * np.array([lt.value for lt in logs])[index], starts)
-    y = np.fft.fftn(h.reshape(grp.slot_orders)).reshape(-1) / -len(grp)
-    return y.real if s.imag == 0 else y, float(np.abs(weights) @ np.array([lt.bound for lt in logs])[index]) / len(grp)
-
-
 def y_p(
     s: complex, q: int, a: int, p_min: int, depth: int, ls: LSeries
 ) -> ValueWithBound:
-    """Truncated approximation to sum_{p >= P, p = a mod q} log(1 - p^-s): entry ``logs[a]`` of ``_y_residues``.
+    """Truncated approximation to sum_{p >= P, p = a mod q} log(1 - p^-s): entry ``logs[a]`` of ``ls.y_residues``.
 
+    Every residue's value comes from one table per (s, q, P, L), kept in ``ls``:
+    after the first residue of a sweep, the rest read no log-L and run no FFT.
     Refuses Re s <= 1 with OutOfDomainError, then ``_check_progression``.
     """
     s = complex(s)
     if s.real <= 1:
         raise OutOfDomainError("y_p requires Re s > 1")
     _check_progression(q, a, p_min, depth)
-    y, bound = _y_residues(s, q, p_min, depth, ls)
+    y, bound = ls.y_residues(s, q, p_min, depth)
     return ValueWithBound(complex(y[character_group(q).logs[a % q]]), bound)
 
 

@@ -15,12 +15,14 @@ and forms every remainder bound from log K(M).  L - 1 is formed in one place,
 ``_l_table``: one such pass over the units r, then one FFT over the
 characters; each reader of L adds the 1.  The module ``dirichlet_l`` reads its
 row of a fresh table and ``LSeries.dirichlet_l`` of a cached one, so the two
-agree bit for bit.  ``LSeries`` keeps two caches: L - 1 of every character row
-per (s, q), filled a list of exponents at a time; and per (s, q, P), the part
+agree bit for bit.  ``LSeries`` keeps three caches: L - 1 of every character
+row per (s, q), filled a list of exponents at a time; per (s, q, P), the part
 of a truncated log-L that no row owns (the primes below P as their generator
 exponents, with p^-s), O(pi(P)) in size, with a slot per row for its truncated
-log.  ``LSeries._check_branch`` certifies from zeta(sigma) < sigma/(sigma-1)
-that each such log is the principal log of its value.
+log; and per (s, q, P, L), y_p's value at every residue mod q with their one
+bound, O(phi(q)), formed from those logs by ``LSeries.y_residues``.
+``LSeries._check_branch`` certifies from zeta(sigma) < sigma/(sigma-1) that
+each such log is the principal log of its value.
 """
 
 from __future__ import annotations
@@ -319,7 +321,7 @@ class _Cut(NamedTuple):
 
 
 class LSeries:
-    """Evaluator bundling a prime table, accuracy parameters and two caches.
+    """Evaluator bundling a prime table, accuracy parameters and three caches.
 
     * per (s, q): L(s, chi) - 1 of every character row and their shared
       bound, one ``_l_table`` entry.  ``fill_l_tables`` builds the missing
@@ -332,6 +334,10 @@ class LSeries:
       is O(phi(q) + pi(P)), not O(phi(q) pi(P)): a row forms its chi(p) from
       its own exponents, in one integer product with those, then only its own
       Euler product over those primes and the log.
+    * per (s, q, P, L): y_p(s; q, a) of every residue a and their one bound,
+      ``y_residues``, formed on the first read from the truncated log-L of
+      every (ell s, row) the unsieve counts name and one forward FFT; every
+      later residue of the key is a lookup.  Its size is O(phi(q)).
     """
 
     def __init__(self, primes: PrimeTable, params: EvalParams = EvalParams()):
@@ -339,6 +345,7 @@ class LSeries:
         self.params = params
         self._l_cache: dict = {}  # (s, q) -> (L - 1 per table row as a list, shared bound)
         self._cut_cache: dict = {}  # (s, q, P) -> _Cut
+        self._y_cache: dict = {}  # (s, q, P, L) -> (y of every residue, shared bound), ``y_residues``
 
     def fill_l_tables(self, exps: Iterable[complex], q: int) -> None:
         """Cache L(s, chi) - 1 of every row mod q for every s in ``exps`` (Re s > 1) not cached yet.
@@ -407,9 +414,37 @@ class LSeries:
         if b >= 3:
             b += sum(math.log1p(-(p ** -sigma)) for p in self.primes.below(p_min).tolist())
             if b >= 3:
+                # 6 digits, or as many as shows the first two of sigma - 1, so the named Re s reads above 1
                 raise OutOfDomainError(
-                    f"Re s={sigma:.6g} too close to 1 for P={p_min}: branch bound B={b:.4g} is not below 3"
+                    f"Re s={sigma:.{max(6, 2 - math.floor(math.log10(sigma - 1)))}g} too close to 1 "
+                    f"for P={p_min}: branch bound B={b:.4g} is not below 3"
                 )
+
+    def y_residues(self, s: complex, q: int, p_min: int, depth: int) -> tuple[np.ndarray, float]:
+        """y_p(s; q, a) of every residue a, at its discrete log ``logs[a]``, and the one bound (1/phi) sum |c/ell| b(psi).
+
+        y(a) = -(1/phi) sum_chi conj chi(a) H(chi), one forward FFT on the generator grid, with
+        H(chi) = sum (c/ell) log L_P(ell s, psi) over the unsieve counts c = c_ell(chi, psi).
+        At real s, y is real (H(conj chi) = conj H(chi)), so only its real part is kept.
+        Formed on the first read of its (s, q, P, L) and kept read-only, so every later
+        residue is a lookup.  q, P and L are the caller's to check (``engine._check_progression``);
+        the log-L reads refuse Re s and P (``_check_branch``).
+        """
+        s = complex(s)
+        key = (s, q, p_min, depth)
+        out = self._y_cache.get(key)
+        if out is None:
+            grp = character_group(q)
+            ells, rows, starts, index, weights = grp.unsieve_counts(depth)
+            logs = [self.log_truncated_l(ell * s, grp.characters[row], p_min)
+                    for ell, row in zip(ells.tolist(), rows.tolist())]
+            h = np.add.reduceat(weights * np.array([lt.value for lt in logs])[index], starts)
+            y = np.fft.fftn(h.reshape(grp.slot_orders)).reshape(-1) / -len(grp)
+            y = y.real if s.imag == 0 else y
+            y.flags.writeable = False
+            bound = float(np.abs(weights) @ np.array([lt.bound for lt in logs])[index]) / len(grp)
+            out = self._y_cache[key] = (y, bound)
+        return out
 
     def log_truncated_l(
         self, s: complex, chi: DirichletCharacter, p_min: int

@@ -29,7 +29,6 @@ from apeuler.engine import (
     _log_y_magnitude_majorant,
     _necklace_plan,
     _necklace_shape,
-    _y_residues,
 )
 from apeuler.witt import kappa, multi_indices, necklace_m
 
@@ -76,7 +75,7 @@ def test_every_residue_from_one_fft(ls6, q):
     conj = np.append(grp.roots, 0)[grp.angles(np.arange(phi), units)].conj()  # chi by a: conj chi(a)
     for s in (2 + 0j, 1.5 + 3j):
         for p_min in (2, 7):
-            y, bound = _y_residues(s, q, p_min, depth, ls6)
+            y, bound = ls6.y_residues(s, q, p_min, depth)
             # summed over a only chi_0 is left, and sum_{d | ell} mu(d) = [ell = 1]: -log L_P(s, chi_0)
             zeta = ls6.zeta_p(s, p_min).log()
             removed = sum(cmath.log(1 - p**-s) for p, _ in factorize(q) if p >= p_min)
@@ -94,6 +93,28 @@ def test_every_residue_from_one_fft(ls6, q):
             a = int(units[-1])
             got = y_p(s, q, a, p_min, depth, ls6)
             assert (got.value, got.bound) == (y[grp.logs[a]], bound)
+
+
+@pytest.mark.parametrize("q", [30, 101, 210])
+def test_a_residue_sweep_forms_one_table_per_key(primes_1e6, monkeypatch, q):
+    # the first residue forms the (s, q, P, L) table; every later one reads it, bit for bit a fresh series' value
+    from apeuler import LSeries, lseries
+
+    reads = []
+    real = lseries.LSeries.log_truncated_l
+    monkeypatch.setattr(lseries.LSeries, "log_truncated_l", lambda self, *args: reads.append(args) or real(self, *args))
+    ls = LSeries(primes_1e6)
+    units = np.flatnonzero(character_group(q).logs >= 0).tolist()
+    for s in (2 + 0j, 1.5 + 3j):
+        swept = []
+        for a in units:
+            reads.clear()
+            swept.append(y_p(s, q, a, 7, 10, ls))
+            assert (len(reads) > 0) == (a == 1)
+        for a, got in zip(units, swept):
+            fresh = y_p(s, q, a, 7, 10, LSeries(primes_1e6))
+            assert (got.value, got.bound) == (fresh.value, fresh.bound)
+    assert list(ls._y_cache) == [(2 + 0j, q, 7, 10), (1.5 + 3j, q, 7, 10)]
 
 
 def test_y_p_validation():

@@ -488,6 +488,9 @@ def test_branch_cut_raises_every_log_l_refusal():
     assert ls._check_branch(1.01, 17) is None
     with pytest.raises(OutOfDomainError, match=r"^Re s=1.01 too close to 1 for P=13: "):
         ls._check_branch(1.01, 13)
+    # the named Re s reads above 1 however close to 1 it is
+    with pytest.raises(OutOfDomainError, match=r"^Re s=1.0000001 too close to 1 for P=2: branch bound B=16.12 is not below 3$"):
+        ls._check_branch(1.0000001, 2)
 
 
 def test_a_cut_near_sigma_one_holds_its_primes_not_a_table_of_them(primes_1e6):
